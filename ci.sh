@@ -127,6 +127,38 @@ cargo run --release -q -p lll-obs --bin obs-report -- \
   | grep -q '"by_request":{"\\"trace\\""'
 rm -rf "$tmp_serve"
 
+echo "==> service mode: distinct-shape smoke (concurrent misses, byte-identity, misses == shapes)"
+tmp_shapes="$(mktemp -d)"
+# 30 distinct rank-2/rank-3 ring and torus shapes, each requested twice.
+scripts/distinct-shape-requests.sh > "$tmp_shapes/requests.jsonl"
+test "$(wc -l < "$tmp_shapes/requests.jsonl")" -eq 60
+./target/release/lll-serve --threads 1 < "$tmp_shapes/requests.jsonl" > "$tmp_shapes/t1.out"
+./target/release/lll-serve --no-cache < "$tmp_shapes/requests.jsonl" > "$tmp_shapes/nocache.out"
+mkfifo "$tmp_shapes/in"
+./target/release/lll-serve --threads 4 --batch 32 --metrics "$tmp_shapes/metrics.sock" \
+  < "$tmp_shapes/in" > "$tmp_shapes/t4.out" &
+shapes_pid=$!
+exec 8> "$tmp_shapes/in" # hold the daemon's stdin open until scraped
+cat "$tmp_shapes/requests.jsonl" >&8
+for _ in $(seq 1 100); do
+  [ "$(wc -l < "$tmp_shapes/t4.out")" -eq 60 ] && break
+  sleep 0.1
+done
+./target/release/lll-metrics-scrape "$tmp_shapes/metrics.sock" > "$tmp_shapes/exposition.txt"
+exec 8>&-
+wait "$shapes_pid"
+# One coloring per distinct shape; the repeats (some concurrent with
+# their shape's first request) are hits.
+awk '
+  $1 == "lll_serve_cache_misses_total" { misses = $2 }
+  $1 == "lll_serve_cache_hits_total" { hits = $2 }
+  END { exit !(misses == 30 && hits == 30) }
+' "$tmp_shapes/exposition.txt"
+test "$(grep -c '"status":"ok"' "$tmp_shapes/t1.out")" -eq 60
+cmp "$tmp_shapes/t1.out" "$tmp_shapes/t4.out"
+cmp "$tmp_shapes/t1.out" "$tmp_shapes/nocache.out"
+rm -rf "$tmp_shapes"
+
 echo "==> service mode: telemetry smoke (scrape + exposition + SIGUSR1, byte-identity)"
 tmp_tel="$(mktemp -d)"
 for i in $(seq 1 10); do

@@ -204,18 +204,6 @@ impl Graph {
         self.edges.binary_search(&(a, b)).ok()
     }
 
-    /// Approximate resident heap size of this graph in bytes: the struct
-    /// itself plus the capacity of every CSR buffer. Used by memory
-    /// accounting (e.g. the serve daemon's cache-size gauge); it is an
-    /// estimate for telemetry, not an allocator-exact figure.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Graph>()
-            + self.offsets.capacity() * std::mem::size_of::<usize>()
-            + self.neighbors.capacity() * std::mem::size_of::<usize>()
-            + self.edge_ids.capacity() * std::mem::size_of::<usize>()
-            + self.edges.capacity() * std::mem::size_of::<(usize, usize)>()
-    }
-
     /// A structural fingerprint of the graph: a 64-bit FNV-1a hash over
     /// the node count and the canonical (sorted) edge list.
     ///

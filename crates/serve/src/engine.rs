@@ -226,8 +226,11 @@ impl Engine {
             ScheduleKind::Edge => Schedule::edge(g, seed, 1),
             ScheduleKind::Distance2 => Schedule::distance2(g, seed, 1),
         };
+        // Hashed once: the cache bucket and the response share it.
+        let fingerprint = g.fingerprint();
         let schedule = if self.config.cache {
-            self.cache.get_or_compute(g, seed, kind, compute)
+            self.cache
+                .get_or_compute_fingerprinted(fingerprint, g, seed, kind, compute)
         } else {
             compute().map(std::sync::Arc::new)
         }
@@ -286,7 +289,7 @@ impl Engine {
             coloring_rounds: report.coloring_rounds,
             classes: report.num_classes,
             violated,
-            fingerprint: format!("{:016x}", g.fingerprint()),
+            fingerprint: format!("{fingerprint:016x}"),
             provenance: format!(
                 "schema={SCHEMA_VERSION} engine=lll-serve/{} fixer={fixer} seed={seed} \
                  nodes={} edges={} max_degree={}",

@@ -65,7 +65,7 @@ pub struct ServeMetrics {
     pub class_micros: MetricHist,
     /// Schedules currently cached.
     pub cache_entries: Gauge,
-    /// Approximate resident bytes of cached graphs + schedules.
+    /// Approximate resident bytes of cached graph keys + schedules.
     pub cache_bytes: Gauge,
     /// Requests of the current batch not yet answered.
     pub queue_depth: Gauge,

@@ -7,6 +7,7 @@
 //! the deterministic path, never *in* it (DESIGN.md §3.11).
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 use lll_serve::{serve, Engine, EngineConfig, Response, ServeConfig};
 
@@ -250,20 +251,31 @@ fn scraping_cannot_perturb_responses_or_obs_streams() {
         }
         let engine = Engine::new(EngineConfig::default());
         let stop = AtomicBool::new(false);
+        // Serving starts only once the scraper's first render returns,
+        // so every run scrapes however fast `serve` finishes.
+        let scraping = Barrier::new(2);
         let mut out = Vec::new();
         std::thread::scope(|s| {
             let scraper_engine = &engine;
             let scraper_stop = &stop;
+            let scraper_scraping = &scraping;
             s.spawn(move || {
                 let mut scrapes = 0u64;
-                while !scraper_stop.load(Ordering::Relaxed) {
+                loop {
                     let text = scraper_engine.render_metrics();
+                    if scrapes == 0 {
+                        scraper_scraping.wait();
+                    }
                     assert!(!text.is_empty());
                     scraper_engine.metrics().registry().rotate_windows();
                     scrapes += 1;
+                    if scraper_stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 assert!(scrapes > 0);
             });
+            scraping.wait();
             serve(
                 &engine,
                 run_input.as_bytes(),
