@@ -104,6 +104,10 @@ cargo test -q -p lll-serve
 LLL_DIFF_THREADS=2 cargo test -q -p lll-serve --test soak
 LLL_DIFF_THREADS=8 cargo test -q -p lll-serve --test soak
 
+echo "==> benchmark crate: builds and passes its own tests against this tree"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> service mode: 100-request daemon smoke (byte-identity across threads/cache)"
 tmp_serve="$(mktemp -d)"
 for i in $(seq 1 100); do

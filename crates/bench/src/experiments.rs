@@ -16,10 +16,8 @@ use lll_apps::sinkless::{
 use lll_apps::weak_splitting::{is_weak_splitting, weak_splitting_instance};
 use lll_core::dist::distributed_fg;
 use lll_core::dist::{
-    distributed_fixer2, distributed_fixer2_audited, distributed_fixer2_parallel,
-    distributed_fixer2_recorded, distributed_fixer2_scheduled_recorded,
-    distributed_fixer2_scheduled_resumed, distributed_fixer3, distributed_fixer3_audited,
-    distributed_fixer3_parallel, CriterionCheck, DistReport, ResumeCursor, Schedule,
+    distributed_fixer2, distributed_fixer2_audited, distributed_fixer3, distributed_fixer3_audited,
+    drive, CriterionCheck, DistError, DistReport, ResumeCursor, RunOpts, Schedule,
 };
 use lll_core::fg_criterion;
 use lll_core::orders::{run_fixer2_adaptive_worst, run_fixer3_adaptive_worst, StaticOrder};
@@ -34,6 +32,23 @@ use lll_mt::{parallel_mt, sequential_mt};
 use lll_numeric::BigRational;
 
 use crate::workloads::{random_rank2_instance, random_rank3_instance, shuffled_order};
+
+/// The self-scheduling driver at seed 5: `color` the dependency graph
+/// (`Schedule::edge` or `Schedule::distance2`) and drive the sweep, both
+/// on `threads` workers.
+fn drive_colored<R: lll_obs::Recorder>(
+    color: fn(&lll_graphs::Graph, u64, usize) -> Result<Schedule, lll_local::SimError>,
+    inst: &lll_core::Instance<f64>,
+    threads: usize,
+    rec: &mut R,
+) -> Result<DistReport, DistError> {
+    let schedule = color(inst.dependency_graph(), 5, threads)?;
+    let opts = RunOpts {
+        threads,
+        ..RunOpts::default()
+    };
+    drive(inst, &schedule, &opts, rec, &mut lll_obs::NullTiming)
+}
 
 /// E1 — Theorem 1.1: the rank-2 fixer succeeds on every instance below
 /// the threshold, under adversarial (shuffled) orders.
@@ -162,7 +177,7 @@ pub fn e2_rounds_rank2(sizes: &[usize], threads: usize) -> Vec<RoundsRow> {
         .map(|&n| {
             let g = ring(n);
             let inst = random_rank2_instance(&g, 8, 0.9, 7);
-            let det = distributed_fixer2_parallel(&inst, 5, CriterionCheck::Enforce, threads)
+            let det = drive_colored(Schedule::edge, &inst, threads, &mut lll_obs::NullRecorder)
                 .expect("below threshold");
             assert!(det.fix.is_success());
             let mt = parallel_mt(&inst, 5, 1_000_000).expect("classic criterion regime");
@@ -185,8 +200,13 @@ pub fn e6_rounds_rank3(sizes: &[usize], threads: usize) -> Vec<RoundsRow> {
         .map(|&n| {
             let h = hyper_ring(n);
             let inst = random_rank3_instance(&h, 8, 0.9, 7);
-            let det = distributed_fixer3_parallel(&inst, 5, CriterionCheck::Enforce, threads)
-                .expect("below threshold");
+            let det = drive_colored(
+                Schedule::distance2,
+                &inst,
+                threads,
+                &mut lll_obs::NullRecorder,
+            )
+            .expect("below threshold");
             assert!(det.fix.is_success());
             let mt = parallel_mt(&inst, 5, 1_000_000).expect("classic criterion regime");
             RoundsRow {
@@ -792,7 +812,8 @@ pub struct SpeedupRow {
     pub sim_speedup: f64,
     /// Full `distributed_fixer2` wall-clock, sequential engine.
     pub driver_seq_millis: f64,
-    /// Full `distributed_fixer2_parallel` wall-clock.
+    /// Full rank-2 driver wall-clock (coloring and sweep) on the
+    /// parallel backend.
     pub driver_par_millis: f64,
     /// `driver_seq_millis / driver_par_millis`.
     pub driver_speedup: f64,
@@ -887,7 +908,7 @@ pub fn e14_parallel_speedup(sizes: &[usize], thread_counts: &[usize]) -> Vec<Spe
             assert_eq!(par_out.1.rounds, seq_out.1.rounds, "engines must agree");
 
             let t3 = Instant::now();
-            let par = distributed_fixer2_parallel(&inst, 5, CriterionCheck::Enforce, threads)
+            let par = drive_colored(Schedule::edge, &inst, threads, &mut lll_obs::NullRecorder)
                 .expect("below threshold");
             let driver_par_millis = t3.elapsed().as_secs_f64() * 1e3;
             assert_eq!(par.rounds, base.rounds, "engines must agree");
@@ -1016,8 +1037,7 @@ pub fn record_sweep_workload<R: lll_obs::Recorder>(
 ) -> DistReport {
     let g = ring(n);
     let inst = random_rank2_instance(&g, 8, 0.9, 7);
-    distributed_fixer2_recorded(&inst, 5, CriterionCheck::Enforce, threads, rec)
-        .expect("below threshold")
+    drive_colored(Schedule::edge, &inst, threads, rec).expect("below threshold")
 }
 
 /// E18 — service-mode throughput: the same-shape workload amortized
@@ -1358,7 +1378,12 @@ pub fn time_fixer_workload<T: lll_obs::TimingSink>(n: usize, timing: &mut T) {
     let inst = random_rank2_instance(&g, 8, 0.9, 7);
     let report = Fixer2::new(&inst)
         .expect("trace instance is below the rank-2 threshold")
-        .run_timed_recorded(0..inst.num_variables(), &mut lll_obs::NullRecorder, timing)
+        .run_with(
+            0..inst.num_variables(),
+            None,
+            &mut lll_obs::NullRecorder,
+            timing,
+        )
         .expect("finite costs below the threshold");
     assert!(
         report.violated_events().is_empty(),
@@ -1637,12 +1662,12 @@ pub fn e20_resume_wallclock(n: usize, interval: u64) -> Vec<ResumeWallClockRow> 
     let run_full = || {
         let mut rec =
             lll_obs::JsonlRecorder::new(Vec::with_capacity(1 << 20)).checkpoint_every(interval);
-        distributed_fixer2_scheduled_recorded(
+        drive(
             &inst,
             &schedule,
-            CriterionCheck::Enforce,
-            1,
+            &RunOpts::default(),
             &mut rec,
+            &mut lll_obs::NullTiming,
         )
         .expect("below threshold");
         rec.finish().expect("in-memory writer never fails")
@@ -1669,15 +1694,12 @@ pub fn e20_resume_wallclock(n: usize, interval: u64) -> Vec<ResumeWallClockRow> 
         let ck = state.last_checkpoint().expect("prefix has a checkpoint");
         let mut tail =
             lll_obs::JsonlRecorder::resumed(Vec::with_capacity(1 << 20), interval, &ck.checkpoint);
-        distributed_fixer2_scheduled_resumed(
-            &inst,
-            &schedule,
-            CriterionCheck::Enforce,
-            1,
-            &cursor,
-            &mut tail,
-        )
-        .expect("below threshold");
+        let opts = RunOpts {
+            resume: Some(cursor),
+            ..RunOpts::default()
+        };
+        drive(&inst, &schedule, &opts, &mut tail, &mut lll_obs::NullTiming)
+            .expect("below threshold");
         tail.finish().expect("in-memory writer never fails")
     };
     // Byte-identity first, timing after: prefix + continuation must be

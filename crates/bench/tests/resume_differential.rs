@@ -15,15 +15,13 @@
 
 use lll_bench::workloads::{random_rank2_instance, random_rank3_instance};
 use lll_core::dist::{
-    distributed_fixer2_audited_recorded, distributed_fixer2_scheduled,
-    distributed_fixer2_scheduled_recorded, distributed_fixer2_scheduled_resumed,
-    distributed_fixer2_scheduled_resumed_audited, distributed_fixer3_scheduled_recorded,
-    distributed_fixer3_scheduled_resumed, CriterionCheck, DistReport, ResumeCursor, Schedule,
+    distributed_fixer2_audited_recorded, distributed_fixer3_audited_recorded, drive,
+    CriterionCheck, DistReport, ResumeCursor, RunOpts, Schedule,
 };
 use lll_graphs::gen::{hyper_ring, ring};
 use lll_obs::diff::diff_streams;
 use lll_obs::replay::RunState;
-use lll_obs::{Checkpoint, JsonlRecorder, NullRecorder, CHECKPOINT_PREFIX};
+use lll_obs::{Checkpoint, JsonlRecorder, NullRecorder, NullTiming, CHECKPOINT_PREFIX};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -86,11 +84,11 @@ fn plain_resume_recovers_the_uninterrupted_report() {
     let g = ring(96);
     let inst = random_rank2_instance(&g, 8, 0.9, 7);
     let schedule = Schedule::edge(inst.dependency_graph(), 5, 1).expect("coloring converges");
-    let full = distributed_fixer2_scheduled(&inst, &schedule, CriterionCheck::Enforce, 1)
+    let opts = RunOpts::default();
+    let full = drive(&inst, &schedule, &opts, &mut NullRecorder, &mut NullTiming)
         .expect("below threshold");
     let mut rec = JsonlRecorder::new(Vec::new()).checkpoint_every(interval);
-    distributed_fixer2_scheduled_recorded(&inst, &schedule, CriterionCheck::Enforce, 1, &mut rec)
-        .expect("below threshold");
+    drive(&inst, &schedule, &opts, &mut rec, &mut NullTiming).expect("below threshold");
     let bytes = rec.finish().expect("in-memory writer never fails");
     let checkpoints = checkpoints_in(&bytes);
     assert!(
@@ -102,15 +100,13 @@ fn plain_resume_recovers_the_uninterrupted_report() {
         let state = fold_prefix(prefix);
         let cursor = ResumeCursor::from_run_state(&state).expect("prefix has a checkpoint");
         for t in THREADS {
-            let resumed = distributed_fixer2_scheduled_resumed(
-                &inst,
-                &schedule,
-                CriterionCheck::Enforce,
-                t,
-                &cursor,
-                &mut NullRecorder,
-            )
-            .expect("below threshold");
+            let opts = RunOpts {
+                threads: t,
+                resume: Some(cursor),
+                ..RunOpts::default()
+            };
+            let resumed = drive(&inst, &schedule, &opts, &mut NullRecorder, &mut NullTiming)
+                .expect("below threshold");
             assert_reports_agree(
                 &resumed,
                 &full,
@@ -133,12 +129,12 @@ fn recorded_resume_rejoins_byte_for_byte() {
     let inst2 = random_rank2_instance(&g, 8, 0.9, 7);
     let sched2 = Schedule::edge(inst2.dependency_graph(), 5, 1).expect("coloring converges");
     let mut rec = JsonlRecorder::new(Vec::new()).checkpoint_every(interval);
-    let full2 = distributed_fixer2_scheduled_recorded(
+    let full2 = drive(
         &inst2,
         &sched2,
-        CriterionCheck::Enforce,
-        1,
+        &RunOpts::default(),
         &mut rec,
+        &mut NullTiming,
     )
     .expect("below threshold");
     let bytes2 = rec.finish().expect("in-memory writer never fails");
@@ -147,12 +143,12 @@ fn recorded_resume_rejoins_byte_for_byte() {
     let inst3 = random_rank3_instance(&h, 8, 0.9, 7);
     let sched3 = Schedule::distance2(inst3.dependency_graph(), 7, 1).expect("coloring converges");
     let mut rec = JsonlRecorder::new(Vec::new()).checkpoint_every(interval);
-    let full3 = distributed_fixer3_scheduled_recorded(
+    let full3 = drive(
         &inst3,
         &sched3,
-        CriterionCheck::Enforce,
-        1,
+        &RunOpts::default(),
         &mut rec,
+        &mut NullTiming,
     )
     .expect("below threshold");
     let bytes3 = rec.finish().expect("in-memory writer never fails");
@@ -169,33 +165,23 @@ fn recorded_resume_rejoins_byte_for_byte() {
             let cursor = ResumeCursor::from_run_state(&state).expect("prefix has a checkpoint");
             for t in THREADS {
                 let mut tail = JsonlRecorder::resumed(Vec::new(), interval, ck);
+                let opts = RunOpts {
+                    threads: t,
+                    resume: Some(cursor),
+                    ..RunOpts::default()
+                };
                 let (resumed, full) = if rank2 {
                     (
-                        distributed_fixer2_scheduled_resumed(
-                            &inst2,
-                            &sched2,
-                            CriterionCheck::Enforce,
-                            t,
-                            &cursor,
-                            &mut tail,
-                        )
-                        .expect("below threshold"),
+                        drive(&inst2, &sched2, &opts, &mut tail, &mut NullTiming),
                         &full2,
                     )
                 } else {
                     (
-                        distributed_fixer3_scheduled_resumed(
-                            &inst3,
-                            &sched3,
-                            CriterionCheck::Enforce,
-                            t,
-                            &cursor,
-                            &mut tail,
-                        )
-                        .expect("below threshold"),
+                        drive(&inst3, &sched3, &opts, &mut tail, &mut NullTiming),
                         &full3,
                     )
                 };
+                let resumed = resumed.expect("below threshold");
                 let fixer = if rank2 { "fixer2" } else { "fixer3" };
                 assert_rejoined(
                     prefix,
@@ -216,65 +202,87 @@ fn recorded_resume_rejoins_byte_for_byte() {
     }
 }
 
-/// `audited` mode: the kill grid over an audited run. Interval 1 puts
-/// a sidecar after every fixing step, which forces the hardest
-/// boundary: a prefix ending exactly at a class boundary with that
-/// class's audit event still owed — the resumed run must rebuild the
-/// audit cache and emit the owed verdict before continuing.
+/// `audited` mode: the kill grid over an audited run, rank 2 and
+/// rank 3. Interval 1 puts a sidecar after every fixing step, which
+/// forces the hardest boundary: a prefix ending exactly at a class
+/// boundary with that class's audit event still owed — the resumed run
+/// must rebuild the audit cache and emit the owed verdict before
+/// continuing.
 #[test]
 fn audited_resume_rebuilds_verdicts_byte_for_byte() {
     let g = ring(64);
-    let inst = random_rank2_instance(&g, 8, 0.9, 7);
-    let p = inst.max_event_probability();
-    let schedule = Schedule::edge(inst.dependency_graph(), 5, 1).expect("coloring converges");
+    let inst2 = random_rank2_instance(&g, 8, 0.9, 7);
+    let p2 = inst2.max_event_probability();
+    let sched2 = Schedule::edge(inst2.dependency_graph(), 5, 1).expect("coloring converges");
     let mut rec = JsonlRecorder::new(Vec::new()).checkpoint_every(1);
-    let full = distributed_fixer2_audited_recorded(
-        &inst,
+    let full2 = distributed_fixer2_audited_recorded(
+        &inst2,
         5,
         CriterionCheck::Enforce,
         1,
-        &p,
+        &p2,
         &1e-9,
         &mut rec,
     )
     .expect("below threshold");
-    let bytes = rec.finish().expect("in-memory writer never fails");
-    let checkpoints = checkpoints_in(&bytes);
-    assert!(
-        checkpoints.len() >= 3,
-        "want a kill grid, got {checkpoints:?}"
-    );
-    for (k, ck) in checkpoints.iter().enumerate() {
-        let prefix = &bytes[..ck.resume_offset() as usize];
-        let state = fold_prefix(prefix);
-        let cursor = ResumeCursor::from_run_state(&state).expect("prefix has a checkpoint");
-        for t in THREADS {
-            let mut tail = JsonlRecorder::resumed(Vec::new(), 1, ck);
-            let resumed = distributed_fixer2_scheduled_resumed_audited(
-                &inst,
-                &schedule,
-                CriterionCheck::Enforce,
-                t,
-                &p,
-                &1e-9,
-                &cursor,
-                &mut tail,
-            )
-            .expect("below threshold");
-            assert_rejoined(
-                prefix,
-                &tail.finish().expect("in-memory writer never fails"),
-                &bytes,
-                &format!(
-                    "audited kill at checkpoint {k} (step {}), threads {t}",
-                    ck.step
-                ),
-            );
-            assert_reports_agree(
-                &resumed,
-                &full,
-                &format!("audited checkpoint {k}, threads {t}"),
-            );
+    let bytes2 = rec.finish().expect("in-memory writer never fails");
+
+    let h = hyper_ring(32);
+    let inst3 = random_rank3_instance(&h, 8, 0.9, 7);
+    let p3 = inst3.max_event_probability();
+    let sched3 = Schedule::distance2(inst3.dependency_graph(), 7, 1).expect("coloring converges");
+    let mut rec = JsonlRecorder::new(Vec::new()).checkpoint_every(1);
+    let full3 = distributed_fixer3_audited_recorded(
+        &inst3,
+        7,
+        CriterionCheck::Enforce,
+        1,
+        &p3,
+        &1e-9,
+        &mut rec,
+    )
+    .expect("below threshold");
+    let bytes3 = rec.finish().expect("in-memory writer never fails");
+
+    let runs = [
+        ("fixer2", &inst2, &p2, &sched2, &full2, &bytes2),
+        ("fixer3", &inst3, &p3, &sched3, &full3, &bytes3),
+    ];
+    for (fixer, inst, p, schedule, full, bytes) in runs {
+        let checkpoints = checkpoints_in(bytes);
+        assert!(
+            checkpoints.len() >= 3,
+            "want a kill grid, got {checkpoints:?}"
+        );
+        for (k, ck) in checkpoints.iter().enumerate() {
+            let prefix = &bytes[..ck.resume_offset() as usize];
+            let state = fold_prefix(prefix);
+            let cursor = ResumeCursor::from_run_state(&state).expect("prefix has a checkpoint");
+            for t in THREADS {
+                let mut tail = JsonlRecorder::resumed(Vec::new(), 1, ck);
+                let opts = RunOpts {
+                    check: CriterionCheck::Enforce,
+                    threads: t,
+                    audit: Some((p, &1e-9)),
+                    resume: Some(cursor),
+                };
+                let resumed = drive(inst, schedule, &opts, &mut tail, &mut NullTiming)
+                    .expect("below threshold");
+                assert_rejoined(
+                    prefix,
+                    &tail.finish().expect("in-memory writer never fails"),
+                    bytes,
+                    &format!(
+                        "{fixer} audited kill at checkpoint {k} (step {}), threads {t}",
+                        ck.step
+                    ),
+                );
+                assert_reports_agree(
+                    &resumed,
+                    full,
+                    &format!("{fixer} audited checkpoint {k}, threads {t}"),
+                );
+            }
         }
     }
 }

@@ -17,6 +17,13 @@
 //!   touching another fixer's events. `O(d² + log* n)` in the paper with
 //!   FHK'16; `O(d⁴) + log* n` with our substitute.
 //!
+//! One entry point runs both: [`drive`] takes a precomputed [`Schedule`]
+//! and a [`RunOpts`] (criterion check, sweep workers, optional `P*`
+//! audit, optional resume cursor) and dispatches on the schedule's kind.
+//! The ranks differ only in how a color class becomes cells; replay,
+//! audit, timing and the round bill are shared. [`distributed_fixer2`]
+//! and [`distributed_fixer3`] color and drive in one call.
+//!
 //! Round accounting: the coloring rounds are measured exactly on the
 //! simulator; each color class then costs 2 rounds (one to exchange the
 //! freshly fixed values and `φ` entries with the 1-hop neighborhood, one
@@ -162,13 +169,10 @@ pub enum ScheduleKind {
 /// instance with the same graph shape. `lll-serve` exploits exactly
 /// this: its topology cache keys schedules by
 /// [`Graph::fingerprint`](lll_graphs::Graph::fingerprint) and replays
-/// them through [`distributed_fixer2_scheduled_recorded`] /
-/// [`distributed_fixer3_scheduled_recorded`], so only the fixing sweep
-/// runs per request. Determinism contract: the scheduled drivers execute
-/// the *same* fixing steps the self-scheduling drivers would (those are
-/// now thin wrappers that compute a `Schedule` and delegate), so a
-/// cached replay is byte-identical to a cold run — assignment, bills,
-/// and recorded stream — at every worker count.
+/// them through [`drive`], so only the fixing sweep runs per request.
+/// Determinism contract: every driver computes a `Schedule` and hands it
+/// to [`drive`], so a cached replay is byte-identical to a cold run —
+/// assignment, bills, and recorded stream — at every worker count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     kind: ScheduleKind,
@@ -267,8 +271,8 @@ impl Schedule {
 
 /// Where to pick an interrupted fixing run back up: the recorded
 /// `(variable, value)` step prefix up to a durable `#checkpoint `
-/// sidecar, plus the stream accounting the resumed drivers need to
-/// continue the event stream byte for byte.
+/// sidecar, plus the stream accounting [`drive`] needs to continue the
+/// event stream byte for byte (passed as [`RunOpts::resume`]).
 ///
 /// The fixers are pure functions of their applied step sequence, so the
 /// prefix alone determines the mid-run state exactly; the counters
@@ -465,10 +469,10 @@ impl ReplayPhase<'_> {
 /// accounting against the driver's mode and decides whether the
 /// `fix_run_start` bracket must still be emitted. Returns
 /// `(replay, emit_fix_run_start)`.
-fn begin_replay<'a>(
-    resume: Option<&ResumeCursor<'a>>,
+fn begin_replay(
+    resume: Option<ResumeCursor<'_>>,
     audited: bool,
-) -> Result<(Option<ReplayPhase<'a>>, bool), DistError> {
+) -> Result<(Option<ReplayPhase<'_>>, bool), DistError> {
     let Some(cursor) = resume else {
         return Ok((None, true));
     };
@@ -492,8 +496,82 @@ fn begin_replay<'a>(
     Ok((replay, !cursor.fix_run_started))
 }
 
+/// What one scheduled sweep runs with, besides the instance, the
+/// schedule, the recorder and the timing sink. `RunOpts::default()` is
+/// an enforced, single-threaded, unaudited run from the start.
+#[derive(Debug)]
+pub struct RunOpts<'a, T> {
+    /// Whether to enforce `p < 2^-d` before fixing.
+    pub check: CriterionCheck,
+    /// Sweep workers; the outcome, the report and the recorded stream
+    /// are identical for every count (see `crate::sweep`).
+    pub threads: usize,
+    /// `Some((p_bound, tol))` re-verifies `P*` after every color class
+    /// ([`IncrementalAuditor::reverify_class`] semantics, computed inside
+    /// the sweep workers) and records one
+    /// [`Event::AuditPass`]/[`Event::AuditViolation`] per class, tagged
+    /// with the class's last step and variable. Verdicts equal auditing
+    /// step by step, because a class's cells touch disjoint events.
+    pub audit: Option<(&'a T, &'a T)>,
+    /// `Some(cursor)` resumes a recorded run from a checkpoint: the
+    /// cursor's step prefix is replayed through the schedule (every step
+    /// verified against the variable the schedule puts there), then the
+    /// run continues live where the prefix ends. The events written to
+    /// the recorder are the uninterrupted stream minus the prefix, at
+    /// every `threads` count, and the report bills the whole logical run
+    /// (DESIGN.md §3.12). Audit events the prefix already holds are not
+    /// re-emitted; the audit cache is rebuilt by a full scan at the live
+    /// boundary, which equals the cache the uninterrupted run carried.
+    pub resume: Option<ResumeCursor<'a>>,
+}
+
+impl<T> Default for RunOpts<'_, T> {
+    fn default() -> Self {
+        RunOpts {
+            check: CriterionCheck::Enforce,
+            threads: 1,
+            audit: None,
+            resume: None,
+        }
+    }
+}
+
+/// Runs the order-oblivious fixer scheduled by `schedule`, color class
+/// by color class — Corollary 1.2 for an [`ScheduleKind::Edge`]
+/// schedule ([`Fixer2`]), Corollary 1.4 for a
+/// [`ScheduleKind::Distance2`] schedule ([`Fixer3`]).
+///
+/// The sweep is bracketed by [`Event::FixRunStart`]/[`Event::FixRunEnd`]
+/// with one `fix_step` per variable; a class's cells are sharded across
+/// `opts.threads` workers and their events merged in static shard
+/// order, so the stream is byte-identical at every worker count. `sink`
+/// gets one [`TimingScope::FixRun`] span for the sweep and one
+/// [`TimingScope::FixClass`] span per live class; wall-clock flows only
+/// into `sink`, never into `rec`. A schedule computed once (and cached,
+/// as `lll-serve` does) replays byte for byte what a fresh coloring
+/// would drive.
+///
+/// # Errors
+///
+/// [`DistError::Fixer`] if the instance's rank exceeds the fixer's or
+/// (under [`CriterionCheck::Enforce`]) it violates `p < 2^-d`, and
+/// [`FixerError::PStarViolated`] at the first audited class after which
+/// the invariant fails; [`DistError::ScheduleMismatch`] if `schedule` is
+/// not sized for this instance's dependency graph;
+/// [`DistError::ResumeMismatch`] if a resume prefix contradicts the
+/// schedule or its audit accounting.
+pub fn drive<T: Num, R: Recorder, S: TimingSink>(
+    inst: &Instance<T>,
+    schedule: &Schedule,
+    opts: &RunOpts<'_, T>,
+    rec: &mut R,
+    sink: &mut S,
+) -> Result<DistReport, DistError> {
+    drive_as(schedule.kind(), inst, schedule, opts, rec, sink)
+}
+
 /// Distributed rank-2 LLL (Corollary 1.2): edge-color the dependency
-/// graph, then fix each color class of variables in parallel.
+/// graph, then fix each color class of variables.
 ///
 /// # Errors
 ///
@@ -505,370 +583,11 @@ pub fn distributed_fixer2<T: Num>(
     seed: u64,
     check: CriterionCheck,
 ) -> Result<DistReport, DistError> {
-    fixer2_driver(inst, seed, check, 1, None, &mut NullRecorder)
-}
-
-/// [`distributed_fixer2`] with the coloring simulation *and* the fixing
-/// sweep running on `threads` worker threads: each color class's cells
-/// (one dependency edge's variables each) are sharded across workers,
-/// which is legitimate precisely because same-colored edges share no
-/// event (the witness this driver asserts). The outcome is identical
-/// for every thread count — see `crate::sweep`.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2`].
-pub fn distributed_fixer2_parallel<T: Num>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-) -> Result<DistReport, DistError> {
-    fixer2_driver(inst, seed, check, threads, None, &mut NullRecorder)
-}
-
-/// [`distributed_fixer2_parallel`] with a flight recorder: brackets the
-/// fixing steps with [`Event::FixRunStart`]/[`Event::FixRunEnd`] and
-/// emits one `fix_step` per variable. Per-shard events are buffered and
-/// merged in static shard order, so the stream is byte-identical at
-/// every thread count.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2`].
-pub fn distributed_fixer2_recorded<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer2_driver(inst, seed, check, threads, None, rec)
-}
-
-/// [`distributed_fixer2_parallel`] with a `P*` audit: after each color
-/// class, the auditor re-verifies the union of the class variables'
-/// `affects` sets ([`IncrementalAuditor::reverify_class`]) — the checks
-/// are computed inside the sweep workers and merged, so the audited
-/// driver parallelizes end to end. Verdicts are identical to auditing
-/// step by step, because a class's cells touch disjoint events.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2`], plus [`FixerError::PStarViolated`]
-/// (wrapped in [`DistError::Fixer`]) at the first class after which the
-/// invariant no longer holds.
-pub fn distributed_fixer2_audited<T: Num>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-    p_bound: &T,
-    tol: &T,
-) -> Result<DistReport, DistError> {
-    fixer2_driver(
-        inst,
-        seed,
+    let opts = RunOpts {
         check,
-        threads,
-        Some((p_bound, tol)),
-        &mut NullRecorder,
-    )
-}
-
-/// [`distributed_fixer2_audited`] with a flight recorder: additionally
-/// emits one [`Event::AuditPass`]/[`Event::AuditViolation`] per color
-/// class, tagged with the class's last step and variable.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2_audited`].
-pub fn distributed_fixer2_audited_recorded<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-    p_bound: &T,
-    tol: &T,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer2_driver(inst, seed, check, threads, Some((p_bound, tol)), rec)
-}
-
-/// [`distributed_fixer2_parallel`] driven by a precomputed [`Schedule`]
-/// instead of a fresh coloring simulation: only the fixing sweep runs.
-/// The self-scheduling drivers are wrappers over this entry point, so a
-/// replayed schedule produces the identical report (and, via the
-/// recorded variant, the identical event stream) a cold run would.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2`], plus [`DistError::ScheduleMismatch`] if
-/// `schedule` is not an edge schedule sized for this instance's
-/// dependency graph.
-pub fn distributed_fixer2_scheduled<T: Num>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-) -> Result<DistReport, DistError> {
-    fixer2_scheduled_driver(
-        inst,
-        schedule,
-        check,
-        threads,
-        None,
-        None,
-        &mut NullRecorder,
-        &mut NullTiming,
-    )
-}
-
-/// [`distributed_fixer2_scheduled`] with a flight recorder; the stream
-/// is byte-identical to [`distributed_fixer2_recorded`]'s for the same
-/// seed, at every worker count.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2_scheduled`].
-pub fn distributed_fixer2_scheduled_recorded<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer2_scheduled_driver(
-        inst,
-        schedule,
-        check,
-        threads,
-        None,
-        None,
-        rec,
-        &mut NullTiming,
-    )
-}
-
-/// [`distributed_fixer2_scheduled_recorded`] with a side-band timing
-/// sink: the whole sweep is one [`TimingScope::FixRun`] span and each
-/// color class one [`TimingScope::FixClass`] span. This is the serve
-/// daemon's request-scoped entry point — the caller constructs a
-/// per-request recorder (tagged with the request's correlation id) and
-/// a per-request sink, so every event and span attributes to the
-/// request that caused it. Wall-clock flows only into `sink`; the
-/// recorder stream stays byte-identical to the untimed drivers'.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2_scheduled`].
-pub fn distributed_fixer2_scheduled_traced<T: Num, R: Recorder, S: TimingSink>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    rec: &mut R,
-    sink: &mut S,
-) -> Result<DistReport, DistError> {
-    fixer2_scheduled_driver(inst, schedule, check, threads, None, None, rec, sink)
-}
-
-/// [`distributed_fixer2_scheduled_recorded`] resumed from a recorded
-/// checkpoint: replays `cursor`'s step prefix through the schedule
-/// (verifying every recorded step against the variable the schedule
-/// puts there), then continues live from the exact step where the
-/// prefix ends. The events written to `rec` are precisely the
-/// uninterrupted run's stream minus the prefix — concatenating the
-/// durable prefix bytes with `rec`'s output reproduces the
-/// uninterrupted stream byte for byte, at every `threads` count
-/// (DESIGN.md §3.12). The returned report bills the *whole* logical
-/// run, identical to the uninterrupted report.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2_scheduled`], plus
-/// [`DistError::ResumeMismatch`] if the prefix contradicts the schedule
-/// (wrong schedule/instance, or a prefix from an audited run).
-pub fn distributed_fixer2_scheduled_resumed<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    cursor: &ResumeCursor<'_>,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer2_scheduled_driver(
-        inst,
-        schedule,
-        check,
-        threads,
-        None,
-        Some(cursor),
-        rec,
-        &mut NullTiming,
-    )
-}
-
-/// The audited counterpart of [`distributed_fixer2_scheduled_resumed`]:
-/// resumes a stream produced by an *audited* recorded run. Audit events
-/// already contained in the prefix (per `cursor`) are not re-emitted;
-/// the audit cache is rebuilt by a full scan at the live boundary,
-/// which equals the incremental cache the uninterrupted run carried
-/// there — so every remaining verdict, and the continued stream, are
-/// identical to the uninterrupted run's.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2_audited`], plus
-/// [`DistError::ResumeMismatch`] if the prefix contradicts the schedule
-/// or its audit accounting.
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_fixer2_scheduled_resumed_audited<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    p_bound: &T,
-    tol: &T,
-    cursor: &ResumeCursor<'_>,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer2_scheduled_driver(
-        inst,
-        schedule,
-        check,
-        threads,
-        Some((p_bound, tol)),
-        Some(cursor),
-        rec,
-        &mut NullTiming,
-    )
-}
-
-fn fixer2_driver<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-    audit: Option<(&T, &T)>,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    let schedule = Schedule::edge(inst.dependency_graph(), seed, threads)?;
-    fixer2_scheduled_driver(
-        inst,
-        &schedule,
-        check,
-        threads,
-        audit,
-        None,
-        rec,
-        &mut NullTiming,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fixer2_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    audit: Option<(&T, &T)>,
-    resume: Option<&ResumeCursor<'_>>,
-    rec: &mut R,
-    sink: &mut S,
-) -> Result<DistReport, DistError> {
-    let mut fixer = match check {
-        CriterionCheck::Enforce => Fixer2::new(inst)?,
-        CriterionCheck::Skip => Fixer2::new_unchecked(inst)?,
+        ..RunOpts::default()
     };
-    let g = inst.dependency_graph();
-    if schedule.kind() != ScheduleKind::Edge || schedule.colors().len() != g.num_edges() {
-        return Err(DistError::ScheduleMismatch {
-            expected: g.num_edges(),
-            found: schedule.colors().len(),
-        });
-    }
-    let (colors, palette, coloring_rounds) = (
-        schedule.colors(),
-        schedule.palette(),
-        schedule.coloring_rounds(),
-    );
-
-    // Schedule: the rank-1 warm-up class first (cells = one event's
-    // variables — no two rank-1 variables on different events interact,
-    // and several on one event are fixed by that event's node locally),
-    // then one class per edge color (cells = one dependency edge's
-    // variables, which one endpoint fixes locally and sequentially).
-    let mut by_event: Vec<Vec<usize>> = vec![Vec::new(); inst.num_events()];
-    let mut by_edge: Vec<Vec<usize>> = vec![Vec::new(); g.num_edges()];
-    for x in 0..inst.num_variables() {
-        match *inst.variable(x).affects() {
-            [u] => by_event[u].push(x),
-            [u, v] => {
-                let eid = g.edge_id(u, v).expect("co-affected events are adjacent");
-                by_edge[eid].push(x);
-            }
-            _ => unreachable!("rank validated at construction"),
-        }
-    }
-    let mut classes: Vec<Vec<Vec<usize>>> = Vec::with_capacity(palette + 1);
-    classes.push(by_event.into_iter().filter(|c| !c.is_empty()).collect());
-    classes.resize_with(palette + 1, Vec::new);
-    for (eid, cell) in by_edge.into_iter().enumerate() {
-        if !cell.is_empty() {
-            classes[colors[eid] + 1].push(cell);
-        }
-    }
-
-    let (mut replay, emit_start) = begin_replay(resume, audit.is_some())?;
-    if R::ENABLED && emit_start {
-        rec.record(&fix_run_start_event(inst));
-    }
-    let mut auditor = if replay.is_some() {
-        // Rebuilt at the live boundary (see ReplayPhase::replay_class);
-        // scanning here would describe pre-replay state.
-        None
-    } else {
-        audit.map(|(p_bound, tol)| {
-            IncrementalAuditor::new(inst, fixer.partial(), fixer.phi(), p_bound, tol)
-        })
-    };
-
-    let run_started = span_start::<S>();
-    for cells in &classes {
-        if cells.is_empty() {
-            continue;
-        }
-        let class_started = span_start::<S>();
-        let class_vars: Vec<usize> = cells.iter().flatten().copied().collect();
-        assert_no_shared_events_across_edges(inst, &class_vars);
-        if let Some(rp) = replay.as_mut() {
-            if rp.replay_class(inst, &mut fixer, &class_vars, audit, &mut auditor, rec)? {
-                replay = None;
-            }
-            continue;
-        }
-        let deltas = fix_class_sharded(&mut fixer, cells, threads, audit, rec)?;
-        audit_class(&mut auditor, &deltas, &fixer, &class_vars, rec)?;
-        if S::ENABLED {
-            sink.record_span(TimingScope::FixClass, span_nanos(class_started));
-        }
-    }
-    if S::ENABLED {
-        sink.record_span(TimingScope::FixRun, span_nanos(run_started));
-    }
-    if let Some(rp) = replay {
-        return Err(resume_mismatch(
-            rp.pos,
-            "end of the schedule",
-            format!(
-                "{} recorded steps beyond the schedule",
-                rp.steps.len() - rp.pos
-            ),
-        ));
-    }
-
-    finish_driver(fixer.into_report(), coloring_rounds, palette, 1, rec)
+    drive_cold(ScheduleKind::Edge, inst, seed, &opts, &mut NullRecorder)
 }
 
 /// Distributed rank-3 LLL (Corollary 1.4): distance-2 color the
@@ -885,60 +604,110 @@ pub fn distributed_fixer3<T: Num>(
     seed: u64,
     check: CriterionCheck,
 ) -> Result<DistReport, DistError> {
-    distributed_fixer3_parallel(inst, seed, check, 1)
+    let opts = RunOpts {
+        check,
+        ..RunOpts::default()
+    };
+    drive_cold(
+        ScheduleKind::Distance2,
+        inst,
+        seed,
+        &opts,
+        &mut NullRecorder,
+    )
 }
 
-/// [`distributed_fixer3`] with the coloring simulation *and* the fixing
-/// sweep running on `threads` worker threads: each color class's cells
-/// (one class node's still-unfixed incident variables each) are sharded
-/// across workers, which is legitimate precisely because same-colored
-/// nodes are ≥ 3 apart in the dependency graph and therefore touch
-/// disjoint events (the witness this driver asserts). The outcome is
-/// identical for every thread count — see `crate::sweep`.
+/// [`drive`] over a fresh edge coloring on `threads` simulator workers,
+/// audited. Kept for existing callers.
 ///
 /// # Errors
 ///
-/// As [`distributed_fixer3`].
-pub fn distributed_fixer3_parallel<T: Num>(
+/// As [`drive`], plus [`DistError::Sim`] if the coloring fails.
+pub fn distributed_fixer2_audited<T: Num>(
     inst: &Instance<T>,
     seed: u64,
     check: CriterionCheck,
     threads: usize,
+    p_bound: &T,
+    tol: &T,
 ) -> Result<DistReport, DistError> {
-    fixer3_driver(inst, seed, check, threads, None, &mut NullRecorder)
+    distributed_fixer2_audited_recorded(inst, seed, check, threads, p_bound, tol, &mut NullRecorder)
 }
 
-/// [`distributed_fixer3_parallel`] with a flight recorder: brackets the
-/// fixing steps with [`Event::FixRunStart`]/[`Event::FixRunEnd`] and
-/// emits one `fix_step` per variable. Per-shard events are buffered and
-/// merged in static shard order, so the stream is byte-identical at
-/// every thread count.
+/// [`distributed_fixer2_audited`] with a flight recorder. Kept for
+/// existing callers.
 ///
 /// # Errors
 ///
-/// As [`distributed_fixer3`].
-pub fn distributed_fixer3_recorded<T: Num, R: Recorder>(
+/// As [`distributed_fixer2_audited`].
+pub fn distributed_fixer2_audited_recorded<T: Num, R: Recorder>(
     inst: &Instance<T>,
     seed: u64,
+    check: CriterionCheck,
+    threads: usize,
+    p_bound: &T,
+    tol: &T,
+    rec: &mut R,
+) -> Result<DistReport, DistError> {
+    let opts = RunOpts {
+        check,
+        threads,
+        audit: Some((p_bound, tol)),
+        resume: None,
+    };
+    drive_cold(ScheduleKind::Edge, inst, seed, &opts, rec)
+}
+
+/// [`drive`] restricted to edge schedules, unrecorded. Kept for existing
+/// callers.
+///
+/// # Errors
+///
+/// As [`drive`]; a [`ScheduleKind::Distance2`] schedule is a
+/// [`DistError::ScheduleMismatch`].
+pub fn distributed_fixer2_scheduled<T: Num>(
+    inst: &Instance<T>,
+    schedule: &Schedule,
+    check: CriterionCheck,
+    threads: usize,
+) -> Result<DistReport, DistError> {
+    distributed_fixer2_scheduled_traced(
+        inst,
+        schedule,
+        check,
+        threads,
+        &mut NullRecorder,
+        &mut NullTiming,
+    )
+}
+
+/// [`drive`] restricted to edge schedules. Kept for existing callers.
+///
+/// # Errors
+///
+/// As [`distributed_fixer2_scheduled`].
+pub fn distributed_fixer2_scheduled_traced<T: Num, R: Recorder, S: TimingSink>(
+    inst: &Instance<T>,
+    schedule: &Schedule,
     check: CriterionCheck,
     threads: usize,
     rec: &mut R,
+    sink: &mut S,
 ) -> Result<DistReport, DistError> {
-    fixer3_driver(inst, seed, check, threads, None, rec)
+    let opts = RunOpts {
+        check,
+        threads,
+        ..RunOpts::default()
+    };
+    drive_as(ScheduleKind::Edge, inst, schedule, &opts, rec, sink)
 }
 
-/// [`distributed_fixer3_parallel`] with a `P*` audit: after each color
-/// class, the auditor re-verifies the union of the class variables'
-/// `affects` sets ([`IncrementalAuditor::reverify_class`]) — the checks
-/// are computed inside the sweep workers and merged, so the audited
-/// driver parallelizes end to end. Verdicts are identical to auditing
-/// step by step, because a class's cells touch disjoint events.
+/// [`drive`] over a fresh distance-2 coloring on `threads` simulator
+/// workers, audited. Kept for existing callers.
 ///
 /// # Errors
 ///
-/// As [`distributed_fixer3`], plus [`FixerError::PStarViolated`]
-/// (wrapped in [`DistError::Fixer`]) at the first class after which the
-/// invariant no longer holds.
+/// As [`drive`], plus [`DistError::Sim`] if the coloring fails.
 pub fn distributed_fixer3_audited<T: Num>(
     inst: &Instance<T>,
     seed: u64,
@@ -947,19 +716,11 @@ pub fn distributed_fixer3_audited<T: Num>(
     p_bound: &T,
     tol: &T,
 ) -> Result<DistReport, DistError> {
-    fixer3_driver(
-        inst,
-        seed,
-        check,
-        threads,
-        Some((p_bound, tol)),
-        &mut NullRecorder,
-    )
+    distributed_fixer3_audited_recorded(inst, seed, check, threads, p_bound, tol, &mut NullRecorder)
 }
 
-/// [`distributed_fixer3_audited`] with a flight recorder: additionally
-/// emits one [`Event::AuditPass`]/[`Event::AuditViolation`] per color
-/// class, tagged with the class's last step and variable.
+/// [`distributed_fixer3_audited`] with a flight recorder. Kept for
+/// existing callers.
 ///
 /// # Errors
 ///
@@ -973,71 +734,40 @@ pub fn distributed_fixer3_audited_recorded<T: Num, R: Recorder>(
     tol: &T,
     rec: &mut R,
 ) -> Result<DistReport, DistError> {
-    fixer3_driver(inst, seed, check, threads, Some((p_bound, tol)), rec)
+    let opts = RunOpts {
+        check,
+        threads,
+        audit: Some((p_bound, tol)),
+        resume: None,
+    };
+    drive_cold(ScheduleKind::Distance2, inst, seed, &opts, rec)
 }
 
-/// [`distributed_fixer3_parallel`] driven by a precomputed [`Schedule`]
-/// instead of a fresh coloring simulation: only the fixing sweep runs.
-/// The self-scheduling drivers are wrappers over this entry point, so a
-/// replayed schedule produces the identical report (and, via the
-/// recorded variant, the identical event stream) a cold run would.
+/// [`drive`] restricted to distance-2 schedules, unrecorded. Kept for
+/// existing callers.
 ///
 /// # Errors
 ///
-/// As [`distributed_fixer3`], plus [`DistError::ScheduleMismatch`] if
-/// `schedule` is not a distance-2 schedule sized for this instance's
-/// dependency graph.
+/// As [`drive`]; a [`ScheduleKind::Edge`] schedule is a
+/// [`DistError::ScheduleMismatch`].
 pub fn distributed_fixer3_scheduled<T: Num>(
     inst: &Instance<T>,
     schedule: &Schedule,
     check: CriterionCheck,
     threads: usize,
 ) -> Result<DistReport, DistError> {
-    fixer3_scheduled_driver(
+    distributed_fixer3_scheduled_traced(
         inst,
         schedule,
         check,
         threads,
-        None,
-        None,
         &mut NullRecorder,
         &mut NullTiming,
     )
 }
 
-/// [`distributed_fixer3_scheduled`] with a flight recorder; the stream
-/// is byte-identical to [`distributed_fixer3_recorded`]'s for the same
-/// seed, at every worker count.
-///
-/// # Errors
-///
-/// As [`distributed_fixer3_scheduled`].
-pub fn distributed_fixer3_scheduled_recorded<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer3_scheduled_driver(
-        inst,
-        schedule,
-        check,
-        threads,
-        None,
-        None,
-        rec,
-        &mut NullTiming,
-    )
-}
-
-/// [`distributed_fixer3_scheduled_recorded`] with a side-band timing
-/// sink — the rank-3 counterpart of
-/// [`distributed_fixer2_scheduled_traced`]: one
-/// [`TimingScope::FixRun`] span for the sweep, one
-/// [`TimingScope::FixClass`] span per color class, attributed to the
-/// caller's per-request recorder/sink pair. The recorder stream stays
-/// byte-identical to the untimed drivers'.
+/// [`drive`] restricted to distance-2 schedules. Kept for existing
+/// callers.
 ///
 /// # Errors
 ///
@@ -1050,136 +780,158 @@ pub fn distributed_fixer3_scheduled_traced<T: Num, R: Recorder, S: TimingSink>(
     rec: &mut R,
     sink: &mut S,
 ) -> Result<DistReport, DistError> {
-    fixer3_scheduled_driver(inst, schedule, check, threads, None, None, rec, sink)
-}
-
-/// The rank-3 counterpart of [`distributed_fixer2_scheduled_resumed`]:
-/// resumes a recorded rank-3 sweep from a checkpoint, continuing the
-/// stream byte for byte at every `threads` count. Replay reproduces the
-/// partial assignment exactly, so the per-class still-unfixed cell
-/// membership the live phase computes equals the uninterrupted run's.
-///
-/// # Errors
-///
-/// As [`distributed_fixer3_scheduled`], plus
-/// [`DistError::ResumeMismatch`] if the prefix contradicts the
-/// schedule.
-pub fn distributed_fixer3_scheduled_resumed<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    cursor: &ResumeCursor<'_>,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer3_scheduled_driver(
-        inst,
-        schedule,
+    let opts = RunOpts {
         check,
         threads,
-        None,
-        Some(cursor),
-        rec,
-        &mut NullTiming,
-    )
+        ..RunOpts::default()
+    };
+    drive_as(ScheduleKind::Distance2, inst, schedule, &opts, rec, sink)
 }
 
-/// The audited counterpart of [`distributed_fixer3_scheduled_resumed`]
-/// (see [`distributed_fixer2_scheduled_resumed_audited`] for the audit
-/// rebuild argument).
-///
-/// # Errors
-///
-/// As [`distributed_fixer3_audited`], plus
-/// [`DistError::ResumeMismatch`] if the prefix contradicts the schedule
-/// or its audit accounting.
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_fixer3_scheduled_resumed_audited<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    p_bound: &T,
-    tol: &T,
-    cursor: &ResumeCursor<'_>,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer3_scheduled_driver(
-        inst,
-        schedule,
-        check,
-        threads,
-        Some((p_bound, tol)),
-        Some(cursor),
-        rec,
-        &mut NullTiming,
-    )
-}
-
-fn fixer3_driver<T: Num, R: Recorder>(
+/// Colors the dependency graph for `kind` on `opts.threads` simulator
+/// workers (the coloring is identical for every count), then drives it.
+fn drive_cold<T: Num, R: Recorder>(
+    kind: ScheduleKind,
     inst: &Instance<T>,
     seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-    audit: Option<(&T, &T)>,
+    opts: &RunOpts<'_, T>,
     rec: &mut R,
 ) -> Result<DistReport, DistError> {
-    let schedule = Schedule::distance2(inst.dependency_graph(), seed, threads)?;
-    fixer3_scheduled_driver(
-        inst,
-        &schedule,
-        check,
-        threads,
-        audit,
-        None,
-        rec,
-        &mut NullTiming,
-    )
+    let g = inst.dependency_graph();
+    let schedule = match kind {
+        ScheduleKind::Edge => Schedule::edge(g, seed, opts.threads)?,
+        ScheduleKind::Distance2 => Schedule::distance2(g, seed, opts.threads)?,
+    };
+    drive_as(kind, inst, &schedule, opts, rec, &mut NullTiming)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn fixer3_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
+/// [`drive`] with the fixer chosen by `kind` rather than by the
+/// schedule, so a rank-specific wrapper handed the other kind of
+/// schedule reports [`DistError::ScheduleMismatch`]. The fixer is built
+/// first: an instance the fixer refuses is refused before the schedule
+/// is looked at.
+fn drive_as<T: Num, R: Recorder, S: TimingSink>(
+    kind: ScheduleKind,
     inst: &Instance<T>,
     schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    audit: Option<(&T, &T)>,
-    resume: Option<&ResumeCursor<'_>>,
+    opts: &RunOpts<'_, T>,
     rec: &mut R,
     sink: &mut S,
 ) -> Result<DistReport, DistError> {
-    let mut fixer = match check {
-        CriterionCheck::Enforce => Fixer3::new(inst)?,
-        CriterionCheck::Skip => Fixer3::new_unchecked(inst)?,
-    };
-    let g = inst.dependency_graph();
-    let n = g.num_nodes();
-    if schedule.kind() != ScheduleKind::Distance2 || schedule.colors().len() != n {
-        return Err(DistError::ScheduleMismatch {
-            expected: n,
-            found: schedule.colors().len(),
-        });
-    }
-    let (colors, palette, coloring_rounds) = (
-        schedule.colors(),
-        schedule.palette(),
-        schedule.coloring_rounds(),
-    );
-
-    // Variables incident to each event node.
-    let mut vars_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for x in 0..inst.num_variables() {
-        for &v in inst.variable(x).affects() {
-            vars_of[v].push(x);
+    let enforce = opts.check == CriterionCheck::Enforce;
+    let plan = || ClassPlan::new(kind, inst, schedule);
+    match kind {
+        ScheduleKind::Edge => {
+            let fixer = if enforce {
+                Fixer2::new(inst)
+            } else {
+                Fixer2::new_unchecked(inst)
+            }?;
+            sweep(fixer, &plan()?, opts, rec, sink)
+        }
+        ScheduleKind::Distance2 => {
+            let fixer = if enforce {
+                Fixer3::new(inst)
+            } else {
+                Fixer3::new_unchecked(inst)
+            }?;
+            sweep(fixer, &plan()?, opts, rec, sink)
         }
     }
+}
 
-    let mut classes: Vec<Vec<usize>> = vec![Vec::new(); palette];
-    for (v, &c) in colors.iter().enumerate() {
-        classes[c].push(v);
+/// The schedule turned into color classes of *units* — the variable
+/// lists one fixer node owns — which is the only step in which the two
+/// ranks differ. A class's cells are its units' still-unfixed variables.
+struct ClassPlan<'a, T> {
+    inst: &'a Instance<T>,
+    classes: Vec<Vec<Vec<usize>>>,
+    /// Classes billed beyond the schedule's palette (the rank-2 warm-up).
+    warmup: usize,
+    coloring_rounds: usize,
+    palette: usize,
+}
+
+impl<'a, T: Num> ClassPlan<'a, T> {
+    /// * `Edge` (rank ≤ 2): the rank-1 warm-up class first (units = one
+    ///   event's rank-1 variables — no two on different events interact,
+    ///   and several on one event are fixed by that event's node
+    ///   locally), then one class per edge color (units = one dependency
+    ///   edge's variables, which one endpoint fixes locally and
+    ///   sequentially). Every variable sits in one unit, so each unit is
+    ///   entirely unfixed when its class runs.
+    /// * `Distance2` (rank ≤ 3): one class per color, units = each class
+    ///   node's incident variables. A variable shared by several nodes
+    ///   is fixed by the first class that reaches it.
+    fn new(
+        kind: ScheduleKind,
+        inst: &'a Instance<T>,
+        schedule: &Schedule,
+    ) -> Result<ClassPlan<'a, T>, DistError> {
+        let g = inst.dependency_graph();
+        let expected = match kind {
+            ScheduleKind::Edge => g.num_edges(),
+            ScheduleKind::Distance2 => g.num_nodes(),
+        };
+        let colors = schedule.colors();
+        if schedule.kind() != kind || colors.len() != expected {
+            return Err(DistError::ScheduleMismatch {
+                expected,
+                found: colors.len(),
+            });
+        }
+        let palette = schedule.palette();
+        let mut units: Vec<Vec<usize>> = vec![Vec::new(); expected];
+        let (mut classes, warmup) = match kind {
+            ScheduleKind::Edge => {
+                let mut by_event: Vec<Vec<usize>> = vec![Vec::new(); inst.num_events()];
+                for x in 0..inst.num_variables() {
+                    match *inst.variable(x).affects() {
+                        [u] => by_event[u].push(x),
+                        [u, v] => {
+                            let eid = g.edge_id(u, v).expect("co-affected events are adjacent");
+                            units[eid].push(x);
+                        }
+                        _ => unreachable!("rank validated at construction"),
+                    }
+                }
+                let mut classes = vec![by_event];
+                classes.resize_with(palette + 1, Vec::new);
+                (classes, 1)
+            }
+            ScheduleKind::Distance2 => {
+                for x in 0..inst.num_variables() {
+                    for &v in inst.variable(x).affects() {
+                        units[v].push(x);
+                    }
+                }
+                (vec![Vec::new(); palette], 0)
+            }
+        };
+        for (slot, unit) in units.into_iter().enumerate() {
+            classes[colors[slot] + warmup].push(unit);
+        }
+        Ok(ClassPlan {
+            inst,
+            classes,
+            warmup,
+            coloring_rounds: schedule.coloring_rounds(),
+            palette,
+        })
     }
+}
 
-    let (mut replay, emit_start) = begin_replay(resume, audit.is_some())?;
+/// The one driver body: replay, the per-class witness, the sharded
+/// sweep, the per-class audit, the timing spans and the round bill.
+fn sweep<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
+    mut fixer: F,
+    plan: &ClassPlan<'_, T>,
+    opts: &RunOpts<'_, T>,
+    rec: &mut R,
+    sink: &mut S,
+) -> Result<DistReport, DistError> {
+    let inst = plan.inst;
+    let (mut replay, emit_start) = begin_replay(opts.resume, opts.audit.is_some())?;
     if R::ENABLED && emit_start {
         rec.record(&fix_run_start_event(inst));
     }
@@ -1188,27 +940,24 @@ fn fixer3_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
         // scanning here would describe pre-replay state.
         None
     } else {
-        audit.map(|(p_bound, tol)| {
-            IncrementalAuditor::new(inst, fixer.partial(), fixer.phi(), p_bound, tol)
-        })
+        opts.audit
+            .map(|(p_bound, tol)| fixer.fresh_auditor(p_bound, tol))
     };
 
     let run_started = span_start::<S>();
-    for class in &classes {
+    for class in &plan.classes {
         let class_started = span_start::<S>();
-        assert_no_shared_events_across_nodes(inst, class, &vars_of);
-        // Cells: one class node's still-unfixed incident variables.
+        assert_units_disjoint(inst, class);
         // Membership is stable while the class runs — the witness above
-        // guarantees no other cell of the class touches these events, so
+        // guarantees no other unit of the class touches these events, so
         // the filter can be evaluated up front. During replay the same
         // expression holds: replayed steps update the partial
         // assignment exactly like live ones, so each class sees the
         // membership the uninterrupted run saw.
         let cells: Vec<Vec<usize>> = class
             .iter()
-            .map(|&v| {
-                vars_of[v]
-                    .iter()
+            .map(|unit| {
+                unit.iter()
                     .copied()
                     .filter(|&x| fixer.partial().get(x).is_none())
                     .collect::<Vec<usize>>()
@@ -1220,12 +969,12 @@ fn fixer3_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
         }
         let class_vars: Vec<usize> = cells.iter().flatten().copied().collect();
         if let Some(rp) = replay.as_mut() {
-            if rp.replay_class(inst, &mut fixer, &class_vars, audit, &mut auditor, rec)? {
+            if rp.replay_class(inst, &mut fixer, &class_vars, opts.audit, &mut auditor, rec)? {
                 replay = None;
             }
             continue;
         }
-        let deltas = fix_class_sharded(&mut fixer, &cells, threads, audit, rec)?;
+        let deltas = fix_class_sharded(&mut fixer, &cells, opts.threads, opts.audit, rec)?;
         audit_class(&mut auditor, &deltas, &fixer, &class_vars, rec)?;
         if S::ENABLED {
             sink.record_span(TimingScope::FixClass, span_nanos(class_started));
@@ -1245,7 +994,20 @@ fn fixer3_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
         ));
     }
 
-    finish_driver(fixer.into_report(), coloring_rounds, palette, 0, rec)
+    let fix = fixer.into_report();
+    if R::ENABLED {
+        rec.record(&Event::FixRunEnd {
+            steps: fix.num_steps(),
+            violated: fix.violated_events().len(),
+        });
+    }
+    // Coloring rounds + 2 per color class (+1 for the warm-up class).
+    Ok(DistReport {
+        rounds: plan.coloring_rounds + 2 * plan.palette + plan.warmup,
+        coloring_rounds: plan.coloring_rounds,
+        num_classes: plan.palette + plan.warmup,
+        fix,
+    })
 }
 
 /// Applies a class's worker-computed audit deltas, emits the per-class
@@ -1283,30 +1045,6 @@ fn audit_class<T: Num, F: ClassFixer<T>, R: Recorder>(
     }
 }
 
-/// Emits the [`Event::FixRunEnd`] bracket and assembles the round bill:
-/// coloring rounds + 2 per color class (+1 for the rank-2 driver's
-/// rank-1 warm-up class).
-fn finish_driver<R: Recorder>(
-    fix: FixReport,
-    coloring_rounds: usize,
-    palette: usize,
-    warmup_classes: usize,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    if R::ENABLED {
-        rec.record(&Event::FixRunEnd {
-            steps: fix.num_steps(),
-            violated: fix.violated_events().len(),
-        });
-    }
-    Ok(DistReport {
-        rounds: coloring_rounds + 2 * palette + warmup_classes,
-        coloring_rounds,
-        num_classes: palette + warmup_classes,
-        fix,
-    })
-}
-
 /// Distributed conditional-expectation fixer (the Remark after
 /// Conjecture 1.5): distance-2 color the dependency graph and run the
 /// Fischer–Ghaffari-style sweep over the classes. Requires the *strong*
@@ -1323,83 +1061,34 @@ pub fn distributed_fg<T: Num>(
     seed: u64,
     check: CriterionCheck,
 ) -> Result<DistReport, DistError> {
-    distributed_fg_parallel(inst, seed, check, 1)
-}
-
-/// [`distributed_fg`] with the coloring simulation running on `threads`
-/// worker threads (see [`Simulator::run_parallel`]); the outcome is
-/// identical for every thread count.
-///
-/// # Errors
-///
-/// As [`distributed_fg`].
-pub fn distributed_fg_parallel<T: Num>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-) -> Result<DistReport, DistError> {
-    let g = inst.dependency_graph();
-    let n = g.num_nodes();
-    let (colors, palette, coloring_rounds) = if n == 0 {
-        (Vec::new(), 0, 0)
-    } else {
-        let sim = Simulator::with_shuffled_ids(g, seed).threads(threads);
-        let col = distance2_coloring(&sim, round_budget(n))?;
-        (col.colors, col.palette, col.rounds)
-    };
+    let schedule = Schedule::distance2(inst.dependency_graph(), seed, 1)?;
+    let palette = schedule.palette();
     let fixer = match check {
         CriterionCheck::Enforce => FgFixer::new(inst, palette)?,
         CriterionCheck::Skip => FgFixer::new_unchecked(inst),
     };
-    let fix = fixer.run(&colors);
+    let fix = fixer.run(schedule.colors());
     Ok(DistReport {
-        rounds: coloring_rounds + 2 * palette,
-        coloring_rounds,
+        rounds: schedule.coloring_rounds() + 2 * palette,
+        coloring_rounds: schedule.coloring_rounds(),
         num_classes: palette,
         fix,
     })
 }
 
-/// Witness that a rank-2 color class is conflict-free: variables on the
-/// same dependency edge may cohabit (one endpoint fixes them locally,
-/// sequentially), but variables on different edges of the class must not
-/// share an event.
-fn assert_no_shared_events_across_edges<T: Num>(inst: &Instance<T>, class: &[usize]) {
-    let mut owner: Vec<Option<(usize, usize)>> = vec![None; inst.num_events()];
-    for &x in class {
-        if let [u, v] = *inst.variable(x).affects() {
-            for ev in [u, v] {
-                match owner[ev] {
-                    Some(edge) if edge != (u, v) => {
-                        panic!(
-                            "class schedules edges {edge:?} and {:?} sharing event {ev}",
-                            (u, v)
-                        )
-                    }
-                    _ => owner[ev] = Some((u, v)),
-                }
-            }
-        }
-    }
-}
-
-/// Witness that a rank-3 color class is conflict-free: the events
-/// touched by different fixer nodes of the class are disjoint.
-fn assert_no_shared_events_across_nodes<T: Num>(
-    inst: &Instance<T>,
-    class: &[usize],
-    vars_of: &[Vec<usize>],
-) {
+/// Witness that a color class is conflict-free: variables of the same
+/// unit may share events (one node fixes them locally, sequentially),
+/// but variables of different units must not.
+fn assert_units_disjoint<T: Num>(inst: &Instance<T>, class: &[Vec<usize>]) {
     let mut owner: Vec<Option<usize>> = vec![None; inst.num_events()];
-    for &v in class {
-        for &x in &vars_of[v] {
+    for (i, unit) in class.iter().enumerate() {
+        for &x in unit {
             for &ev in inst.variable(x).affects() {
                 match owner[ev] {
-                    Some(other) if other != v => {
-                        panic!("class schedules nodes {other} and {v} touching event {ev}")
+                    Some(other) if other != i => {
+                        panic!("class schedules units {other} and {i} touching event {ev}")
                     }
-                    _ => owner[ev] = Some(v),
+                    _ => owner[ev] = Some(i),
                 }
             }
         }
@@ -1436,6 +1125,13 @@ mod tests {
             });
         }
         b.build().unwrap()
+    }
+
+    fn threads<'a>(threads: usize) -> RunOpts<'a, f64> {
+        RunOpts {
+            threads,
+            ..RunOpts::default()
+        }
     }
 
     #[test]
@@ -1510,34 +1206,42 @@ mod tests {
         let base2 = distributed_fixer2(&inst2, 5, CriterionCheck::Enforce).unwrap();
         let inst3 = hyper_ring_instance(32, 3);
         let base3 = distributed_fixer3(&inst3, 7, CriterionCheck::Enforce).unwrap();
-        let baseg = distributed_fg(&inst2, 5, CriterionCheck::Skip).unwrap();
         for t in [2usize, 8] {
-            let p2 = distributed_fixer2_parallel(&inst2, 5, CriterionCheck::Enforce, t).unwrap();
+            let p2 = drive_cold(
+                ScheduleKind::Edge,
+                &inst2,
+                5,
+                &threads(t),
+                &mut NullRecorder,
+            )
+            .unwrap();
             assert_eq!(p2.rounds, base2.rounds, "fixer2 threads {t}");
             assert_eq!(p2.coloring_rounds, base2.coloring_rounds);
             assert_eq!(p2.num_classes, base2.num_classes);
             assert_eq!(p2.fix.assignment(), base2.fix.assignment());
-            let p3 = distributed_fixer3_parallel(&inst3, 7, CriterionCheck::Enforce, t).unwrap();
+            let p3 = drive_cold(
+                ScheduleKind::Distance2,
+                &inst3,
+                7,
+                &threads(t),
+                &mut NullRecorder,
+            )
+            .unwrap();
             assert_eq!(p3.rounds, base3.rounds, "fixer3 threads {t}");
             assert_eq!(p3.coloring_rounds, base3.coloring_rounds);
             assert_eq!(p3.fix.assignment(), base3.fix.assignment());
-            let pg = distributed_fg_parallel(&inst2, 5, CriterionCheck::Skip, t).unwrap();
-            assert_eq!(pg.rounds, baseg.rounds, "fg threads {t}");
-            assert_eq!(pg.fix.assignment(), baseg.fix.assignment());
         }
     }
 
-    fn recorded_fixer2_bytes(inst: &Instance<f64>, threads: usize) -> (Vec<u8>, DistReport) {
+    fn recorded_fixer2_bytes(inst: &Instance<f64>, t: usize) -> (Vec<u8>, DistReport) {
         let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
-        let rep = distributed_fixer2_recorded(inst, 5, CriterionCheck::Enforce, threads, &mut rec)
-            .unwrap();
+        let rep = drive_cold(ScheduleKind::Edge, inst, 5, &threads(t), &mut rec).unwrap();
         (rec.finish().unwrap(), rep)
     }
 
-    fn recorded_fixer3_bytes(inst: &Instance<f64>, threads: usize) -> (Vec<u8>, DistReport) {
+    fn recorded_fixer3_bytes(inst: &Instance<f64>, t: usize) -> (Vec<u8>, DistReport) {
         let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
-        let rep = distributed_fixer3_recorded(inst, 7, CriterionCheck::Enforce, threads, &mut rec)
-            .unwrap();
+        let rep = drive_cold(ScheduleKind::Distance2, inst, 7, &threads(t), &mut rec).unwrap();
         (rec.finish().unwrap(), rep)
     }
 
@@ -1636,14 +1340,7 @@ mod tests {
         let (cold_bytes3, cold3) = recorded_fixer3_bytes(&inst3, 1);
         for t in [1usize, 2, 8] {
             let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
-            let warm2 = distributed_fixer2_scheduled_recorded(
-                &inst2,
-                &sched2,
-                CriterionCheck::Enforce,
-                t,
-                &mut rec,
-            )
-            .unwrap();
+            let warm2 = drive(&inst2, &sched2, &threads(t), &mut rec, &mut NullTiming).unwrap();
             assert_eq!(rec.finish().unwrap(), cold_bytes2, "fixer2 threads {t}");
             assert_eq!(warm2.fix.assignment(), cold2.fix.assignment());
             assert_eq!(warm2.rounds, cold2.rounds);
@@ -1651,14 +1348,7 @@ mod tests {
             assert_eq!(warm2.num_classes, cold2.num_classes);
 
             let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
-            let warm3 = distributed_fixer3_scheduled_recorded(
-                &inst3,
-                &sched3,
-                CriterionCheck::Enforce,
-                t,
-                &mut rec,
-            )
-            .unwrap();
+            let warm3 = drive(&inst3, &sched3, &threads(t), &mut rec, &mut NullTiming).unwrap();
             assert_eq!(rec.finish().unwrap(), cold_bytes3, "fixer3 threads {t}");
             assert_eq!(warm3.fix.assignment(), cold3.fix.assignment());
             assert_eq!(warm3.rounds, cold3.rounds);
@@ -1686,27 +1376,13 @@ mod tests {
         let inst2 = ring_instance(64, 3);
         let sched2 = Schedule::edge(inst2.dependency_graph(), 5, 1).unwrap();
         let mut rec = lll_obs::JsonlRecorder::new(Vec::new()).checkpoint_every(interval);
-        let full2 = distributed_fixer2_scheduled_recorded(
-            &inst2,
-            &sched2,
-            CriterionCheck::Enforce,
-            1,
-            &mut rec,
-        )
-        .unwrap();
+        let full2 = drive(&inst2, &sched2, &threads(1), &mut rec, &mut NullTiming).unwrap();
         let bytes2 = rec.finish().unwrap();
 
         let inst3 = hyper_ring_instance(32, 3);
         let sched3 = Schedule::distance2(inst3.dependency_graph(), 7, 1).unwrap();
         let mut rec = lll_obs::JsonlRecorder::new(Vec::new()).checkpoint_every(interval);
-        let full3 = distributed_fixer3_scheduled_recorded(
-            &inst3,
-            &sched3,
-            CriterionCheck::Enforce,
-            1,
-            &mut rec,
-        )
-        .unwrap();
+        let full3 = drive(&inst3, &sched3, &threads(1), &mut rec, &mut NullTiming).unwrap();
         let bytes3 = rec.finish().unwrap();
 
         for (bytes, rank2) in [(&bytes2, true), (&bytes3, false)] {
@@ -1725,26 +1401,32 @@ mod tests {
                     let mut tail = lll_obs::JsonlRecorder::resumed(Vec::new(), interval, ck);
                     let (rep, full) = if rank2 {
                         (
-                            distributed_fixer2_scheduled_resumed(
+                            drive(
                                 &inst2,
                                 &sched2,
-                                CriterionCheck::Enforce,
-                                t,
-                                &cursor,
+                                &RunOpts {
+                                    threads: t,
+                                    resume: Some(cursor),
+                                    ..RunOpts::default()
+                                },
                                 &mut tail,
+                                &mut NullTiming,
                             )
                             .unwrap(),
                             &full2,
                         )
                     } else {
                         (
-                            distributed_fixer3_scheduled_resumed(
+                            drive(
                                 &inst3,
                                 &sched3,
-                                CriterionCheck::Enforce,
-                                t,
-                                &cursor,
+                                &RunOpts {
+                                    threads: t,
+                                    resume: Some(cursor),
+                                    ..RunOpts::default()
+                                },
                                 &mut tail,
+                                &mut NullTiming,
                             )
                             .unwrap(),
                             &full3,
@@ -1813,30 +1495,34 @@ mod tests {
                     let mut tail = lll_obs::JsonlRecorder::resumed(Vec::new(), 1, ck);
                     let (rep, full) = if rank2 {
                         (
-                            distributed_fixer2_scheduled_resumed_audited(
+                            drive(
                                 &inst2,
                                 &sched2,
-                                CriterionCheck::Enforce,
-                                t,
-                                &p2,
-                                &1e-9,
-                                &cursor,
+                                &RunOpts {
+                                    threads: t,
+                                    audit: Some((&p2, &1e-9)),
+                                    resume: Some(cursor),
+                                    ..RunOpts::default()
+                                },
                                 &mut tail,
+                                &mut NullTiming,
                             )
                             .unwrap(),
                             &full2,
                         )
                     } else {
                         (
-                            distributed_fixer3_scheduled_resumed_audited(
+                            drive(
                                 &inst3,
                                 &sched3,
-                                CriterionCheck::Enforce,
-                                t,
-                                &p3,
-                                &1e-9,
-                                &cursor,
+                                &RunOpts {
+                                    threads: t,
+                                    audit: Some((&p3, &1e-9)),
+                                    resume: Some(cursor),
+                                    ..RunOpts::default()
+                                },
                                 &mut tail,
+                                &mut NullTiming,
                             )
                             .unwrap(),
                             &full3,
@@ -1860,8 +1546,7 @@ mod tests {
         let inst = ring_instance(16, 3);
         let sched = Schedule::edge(inst.dependency_graph(), 5, 1).unwrap();
         let mut rec = lll_obs::JsonlRecorder::new(Vec::new()).checkpoint_every(4);
-        distributed_fixer2_scheduled_recorded(&inst, &sched, CriterionCheck::Enforce, 1, &mut rec)
-            .unwrap();
+        drive(&inst, &sched, &threads(1), &mut rec, &mut NullTiming).unwrap();
         let bytes = rec.finish().unwrap();
         let (state, ()) = cursor_for(&bytes);
         let honest = state.steps().to_vec();
@@ -1872,13 +1557,16 @@ mod tests {
         let mut steps = honest.clone();
         steps[0].0 += 1;
         let cur = ResumeCursor::new(&steps[..4], 0, true);
-        let err = distributed_fixer2_scheduled_resumed(
+        let err = drive(
             &inst,
             &sched,
-            CriterionCheck::Enforce,
-            1,
-            &cur,
+            &RunOpts {
+                threads: 1,
+                resume: Some(cur),
+                ..RunOpts::default()
+            },
             &mut NullRecorder,
+            &mut NullTiming,
         )
         .unwrap_err();
         assert!(
@@ -1890,13 +1578,16 @@ mod tests {
         let mut steps = honest.clone();
         steps[0].1 = 999;
         let cur = ResumeCursor::new(&steps[..4], 0, true);
-        let err = distributed_fixer2_scheduled_resumed(
+        let err = drive(
             &inst,
             &sched,
-            CriterionCheck::Enforce,
-            1,
-            &cur,
+            &RunOpts {
+                threads: 1,
+                resume: Some(cur),
+                ..RunOpts::default()
+            },
             &mut NullRecorder,
+            &mut NullTiming,
         )
         .unwrap_err();
         assert!(
@@ -1908,13 +1599,16 @@ mod tests {
         let mut steps = honest.clone();
         steps.push((0, 0));
         let cur = ResumeCursor::new(&steps, 0, true);
-        let err = distributed_fixer2_scheduled_resumed(
+        let err = drive(
             &inst,
             &sched,
-            CriterionCheck::Enforce,
-            1,
-            &cur,
+            &RunOpts {
+                threads: 1,
+                resume: Some(cur),
+                ..RunOpts::default()
+            },
             &mut NullRecorder,
+            &mut NullTiming,
         )
         .unwrap_err();
         match err {
@@ -1924,13 +1618,16 @@ mod tests {
 
         // An audited prefix fed to the unaudited driver.
         let cur = ResumeCursor::new(&honest[..4], 2, true);
-        let err = distributed_fixer2_scheduled_resumed(
+        let err = drive(
             &inst,
             &sched,
-            CriterionCheck::Enforce,
-            1,
-            &cur,
+            &RunOpts {
+                threads: 1,
+                resume: Some(cur),
+                ..RunOpts::default()
+            },
             &mut NullRecorder,
+            &mut NullTiming,
         )
         .unwrap_err();
         assert!(matches!(err, DistError::ResumeMismatch { .. }), "{err}");
@@ -1942,23 +1639,40 @@ mod tests {
         let inst3 = hyper_ring_instance(32, 3);
         let edge16 = Schedule::edge(inst2.dependency_graph(), 5, 1).unwrap();
         let d2_32 = Schedule::distance2(inst3.dependency_graph(), 7, 1).unwrap();
-        // Wrong kind for the driver.
-        assert!(matches!(
-            distributed_fixer2_scheduled(&inst2, &d2_32, CriterionCheck::Enforce, 1),
-            Err(DistError::ScheduleMismatch { .. })
-        ));
-        assert!(matches!(
-            distributed_fixer3_scheduled(&inst3, &edge16, CriterionCheck::Enforce, 1),
-            Err(DistError::ScheduleMismatch { .. })
-        ));
-        // Right kind, wrong graph size.
-        let edge64 = Schedule::edge(ring_instance(64, 3).dependency_graph(), 5, 1).unwrap();
-        assert!(matches!(
-            distributed_fixer2_scheduled(&inst2, &edge64, CriterionCheck::Enforce, 1),
-            Err(DistError::ScheduleMismatch {
+        // Wrong kind for a rank-specific wrapper: the wrapper's own slot
+        // count against the other kind's.
+        assert_eq!(
+            distributed_fixer2_scheduled(&inst2, &d2_32, CriterionCheck::Enforce, 1).unwrap_err(),
+            DistError::ScheduleMismatch {
                 expected: 16,
-                found: 64
-            })
-        ));
+                found: 32
+            }
+        );
+        assert_eq!(
+            distributed_fixer3_scheduled(&inst3, &edge16, CriterionCheck::Enforce, 1).unwrap_err(),
+            DistError::ScheduleMismatch {
+                expected: 32,
+                found: 16
+            }
+        );
+        // Right kind, wrong graph — through the wrapper and through
+        // `drive`, for both kinds.
+        let edge64 = Schedule::edge(ring_instance(64, 3).dependency_graph(), 5, 1).unwrap();
+        let d2_24 =
+            Schedule::distance2(hyper_ring_instance(24, 3).dependency_graph(), 7, 1).unwrap();
+        let mismatch = |expected, found| DistError::ScheduleMismatch { expected, found };
+        assert_eq!(
+            distributed_fixer2_scheduled(&inst2, &edge64, CriterionCheck::Enforce, 1).unwrap_err(),
+            mismatch(16, 64)
+        );
+        let opts = RunOpts::default();
+        assert_eq!(
+            drive(&inst2, &edge64, &opts, &mut NullRecorder, &mut NullTiming).unwrap_err(),
+            mismatch(16, 64)
+        );
+        assert_eq!(
+            drive(&inst3, &d2_24, &opts, &mut NullRecorder, &mut NullTiming).unwrap_err(),
+            mismatch(32, 24)
+        );
     }
 }

@@ -29,20 +29,37 @@
 //!   coordinating thread, keeping the audited driver's parallel section
 //!   large enough to beat Amdahl.
 //!
+//! The same [`ClassFixer`] seam also carries the sequential run both
+//! fixers' `run_with` share ([`run_order`]).
+//!
 //! [`shard_bounds`]: lll_local::shard_bounds
 
 use lll_local::{effective_workers, shard_bounds};
 use lll_numeric::Num;
-use lll_obs::{BufRecorder, NullRecorder, Recorder};
+use lll_obs::timing::{span_nanos, span_start};
+use lll_obs::{BufRecorder, Event, NullRecorder, Recorder, TimingScope, TimingSink};
 
 use crate::audit::{AuditDelta, IncrementalAuditor};
 use crate::error::FixerError;
+use crate::fixer2::{audit_event, fix_run_start_event};
+use crate::instance::{Instance, PartialAssignment};
+use crate::triples::Phi;
+use crate::FixReport;
 
 /// A fixer that the class sweep can fork, run over cells, and merge
 /// back. Implemented by [`Fixer2`](crate::Fixer2) and
 /// [`Fixer3`](crate::Fixer3) (the implementations live in their modules
 /// because merging needs the private `partial`/`phi`/`steps` fields).
 pub(crate) trait ClassFixer<T: Num>: Send + Sized {
+    /// The instance being fixed.
+    fn instance(&self) -> &Instance<T>;
+
+    /// Current partial assignment.
+    fn partial(&self) -> &PartialAssignment;
+
+    /// Current bookkeeping weights.
+    fn phi(&self) -> &Phi<T>;
+
     /// Forks the current state for a sweep shard: same partial
     /// assignment and `φ`, empty step log, recorded steps numbered from
     /// `step_base`.
@@ -51,8 +68,16 @@ pub(crate) trait ClassFixer<T: Num>: Send + Sized {
     /// Fixing steps performed so far (run-global).
     fn steps_done(&self) -> usize;
 
+    /// Fixes one unfixed variable, emitting its `fix_step` event.
+    fn fix_step<R: Recorder>(&mut self, x: usize, rec: &mut R) -> Result<usize, FixerError>;
+
     /// Fixes every variable of one cell, in order.
-    fn fix_cell<R: Recorder>(&mut self, cell: &[usize], rec: &mut R) -> Result<(), FixerError>;
+    fn fix_cell<R: Recorder>(&mut self, cell: &[usize], rec: &mut R) -> Result<(), FixerError> {
+        for &x in cell {
+            self.fix_step(x, rec)?;
+        }
+        Ok(())
+    }
 
     /// Replays a recorded fixing step: fixes `x` to the value `y` a
     /// previous run chose, applying the exact `φ` updates of a live
@@ -67,7 +92,9 @@ pub(crate) trait ClassFixer<T: Num>: Send + Sized {
     /// `(partial, φ)`, so this equals the incremental cache an audited
     /// run carries at the same point — which is what lets a resumed run
     /// rebuild audit state at the live boundary (DESIGN.md §3.12).
-    fn fresh_auditor(&self, p_bound: &T, tol: &T) -> IncrementalAuditor<T>;
+    fn fresh_auditor(&self, p_bound: &T, tol: &T) -> IncrementalAuditor<T> {
+        IncrementalAuditor::new(self.instance(), self.partial(), self.phi(), p_bound, tol)
+    }
 
     /// Merges a finished shard fork back into `self`: applies its fixed
     /// values, copies the `φ` entries its steps touched, appends its
@@ -80,6 +107,73 @@ pub(crate) trait ClassFixer<T: Num>: Send + Sized {
     /// against this fixer's state (see
     /// [`audit_delta_for`](crate::audit::audit_delta_for)).
     fn audit_delta(&self, vars: &[usize], p_bound: &T, tol: &T) -> AuditDelta<T>;
+
+    /// Finalizes into a report (all variables must be fixed).
+    fn into_report(self) -> FixReport;
+}
+
+/// The sequential run behind `Fixer2::run_with` and `Fixer3::run_with`:
+/// fixes `order` one variable at a time, bracketed by
+/// [`Event::FixRunStart`]/[`Event::FixRunEnd`]. With
+/// `audit = Some((p_bound, tol))` property `P*` is re-verified after
+/// every step and each verdict recorded as an audit event; `sink` gets
+/// one [`TimingScope::FixStep`] span per step and one
+/// [`TimingScope::FixRun`] span for the run, and never touches `rec`.
+pub(crate) fn run_order<T, F, R, S>(
+    mut fixer: F,
+    order: impl IntoIterator<Item = usize>,
+    audit: Option<(&T, &T)>,
+    rec: &mut R,
+    sink: &mut S,
+) -> Result<FixReport, FixerError>
+where
+    T: Num,
+    F: ClassFixer<T>,
+    R: Recorder,
+    S: TimingSink,
+{
+    let run_started = span_start::<S>();
+    if R::ENABLED {
+        rec.record(&fix_run_start_event(fixer.instance()));
+    }
+    let mut auditor = audit.map(|(p_bound, tol)| fixer.fresh_auditor(p_bound, tol));
+    for (step, x) in order.into_iter().enumerate() {
+        let step_started = span_start::<S>();
+        fixer.fix_step(x, rec)?;
+        if S::ENABLED {
+            sink.record_span(TimingScope::FixStep, span_nanos(step_started));
+        }
+        let Some(auditor) = auditor.as_mut() else {
+            continue;
+        };
+        let report = auditor.reverify(fixer.instance(), fixer.partial(), fixer.phi(), x);
+        if R::ENABLED {
+            rec.record(&audit_event(step, x, &report));
+        }
+        if !report.holds() {
+            return Err(FixerError::PStarViolated {
+                step,
+                variable: x,
+                pair_violations: report.pair_violations,
+                prob_violations: report.prob_violations,
+            });
+        }
+    }
+    assert!(
+        fixer.partial().is_complete(),
+        "order must cover all variables"
+    );
+    let report = fixer.into_report();
+    if R::ENABLED {
+        rec.record(&Event::FixRunEnd {
+            steps: report.num_steps(),
+            violated: report.violated_events().len(),
+        });
+    }
+    if S::ENABLED {
+        sink.record_span(TimingScope::FixRun, span_nanos(run_started));
+    }
+    Ok(report)
 }
 
 /// The per-worker event buffer: a real [`BufRecorder`] when the run is

@@ -19,14 +19,32 @@ use std::env;
 
 use sharp_lll::core::dist::{
     distributed_fixer2, distributed_fixer2_audited, distributed_fixer2_audited_recorded,
-    distributed_fixer2_parallel, distributed_fixer2_recorded, distributed_fixer3,
-    distributed_fixer3_audited, distributed_fixer3_parallel, distributed_fixer3_recorded,
-    CriterionCheck, DistError, DistReport,
+    distributed_fixer3, distributed_fixer3_audited, drive, CriterionCheck, DistError, DistReport,
+    RunOpts, Schedule,
 };
 use sharp_lll::core::{Instance, InstanceBuilder};
 use sharp_lll::graphs::gen::{hyper_ring, random_3_uniform, random_regular, ring, torus};
 use sharp_lll::graphs::{Graph, Hypergraph};
-use sharp_lll::obs::JsonlRecorder;
+use sharp_lll::local::SimError;
+use sharp_lll::obs::{JsonlRecorder, NullRecorder, NullTiming, Recorder};
+
+/// The self-scheduling driver: `color` the dependency graph
+/// (`Schedule::edge` or `Schedule::distance2`) and drive the sweep, both
+/// on `threads` workers.
+fn drive_colored<R: Recorder>(
+    color: fn(&Graph, u64, usize) -> Result<Schedule, SimError>,
+    inst: &Instance<f64>,
+    seed: u64,
+    threads: usize,
+    rec: &mut R,
+) -> Result<DistReport, DistError> {
+    let schedule = color(inst.dependency_graph(), seed, threads)?;
+    let opts = RunOpts {
+        threads,
+        ..RunOpts::default()
+    };
+    drive(inst, &schedule, &opts, rec, &mut NullTiming)
+}
 
 /// Worker counts to exercise; `LLL_DIFF_THREADS=2` (or `1,2,3,8`, …)
 /// overrides, so CI can run the battery once per pinned count.
@@ -157,7 +175,7 @@ fn plain_sweeps_match_reference() {
         let seq = distributed_fixer2(&inst, 17, CriterionCheck::Enforce).expect("fixer2");
         assert!(seq.fix.is_success(), "{name} reference run succeeds");
         for threads in thread_counts() {
-            let par = distributed_fixer2_parallel(&inst, 17, CriterionCheck::Enforce, threads)
+            let par = drive_colored(Schedule::edge, &inst, 17, threads, &mut NullRecorder)
                 .expect("fixer2");
             assert_reports_agree(&format!("fixer2 on {name}"), threads, &seq, &par);
         }
@@ -166,7 +184,7 @@ fn plain_sweeps_match_reference() {
         let seq = distributed_fixer3(&inst, 17, CriterionCheck::Enforce).expect("fixer3");
         assert!(seq.fix.is_success(), "{name} reference run succeeds");
         for threads in thread_counts() {
-            let par = distributed_fixer3_parallel(&inst, 17, CriterionCheck::Enforce, threads)
+            let par = drive_colored(Schedule::distance2, &inst, 17, threads, &mut NullRecorder)
                 .expect("fixer3");
             assert_reports_agree(&format!("fixer3 on {name}"), threads, &seq, &par);
         }
@@ -176,13 +194,11 @@ fn plain_sweeps_match_reference() {
 #[test]
 fn recorded_sweeps_are_byte_identical() {
     for (name, inst) in rank2_families() {
-        let (seq, seq_bytes) = record(|rec| {
-            distributed_fixer2_recorded(&inst, 5, CriterionCheck::Enforce, 1, rec).expect("fixer2")
-        });
+        let (seq, seq_bytes) =
+            record(|rec| drive_colored(Schedule::edge, &inst, 5, 1, rec).expect("fixer2"));
         for threads in thread_counts() {
             let (par, par_bytes) = record(|rec| {
-                distributed_fixer2_recorded(&inst, 5, CriterionCheck::Enforce, threads, rec)
-                    .expect("fixer2")
+                drive_colored(Schedule::edge, &inst, 5, threads, rec).expect("fixer2")
             });
             assert_reports_agree(&format!("recorded fixer2 on {name}"), threads, &seq, &par);
             assert_streams_identical(
@@ -194,13 +210,11 @@ fn recorded_sweeps_are_byte_identical() {
         }
     }
     for (name, inst) in rank3_families() {
-        let (seq, seq_bytes) = record(|rec| {
-            distributed_fixer3_recorded(&inst, 5, CriterionCheck::Enforce, 1, rec).expect("fixer3")
-        });
+        let (seq, seq_bytes) =
+            record(|rec| drive_colored(Schedule::distance2, &inst, 5, 1, rec).expect("fixer3"));
         for threads in thread_counts() {
             let (par, par_bytes) = record(|rec| {
-                distributed_fixer3_recorded(&inst, 5, CriterionCheck::Enforce, threads, rec)
-                    .expect("fixer3")
+                drive_colored(Schedule::distance2, &inst, 5, threads, rec).expect("fixer3")
             });
             assert_reports_agree(&format!("recorded fixer3 on {name}"), threads, &seq, &par);
             assert_streams_identical(

@@ -19,8 +19,7 @@ use sharp_lll::coloring::{
     vertex_coloring, LubyProgram,
 };
 use sharp_lll::core::dist::{
-    distributed_fixer2, distributed_fixer2_parallel, distributed_fixer3,
-    distributed_fixer3_parallel, CriterionCheck,
+    distributed_fixer2, distributed_fixer3, drive, CriterionCheck, RunOpts, Schedule,
 };
 use sharp_lll::core::{Instance, InstanceBuilder};
 use sharp_lll::graphs::gen::{hyper_ring, path, random_regular, ring};
@@ -29,6 +28,7 @@ use sharp_lll::local::gather::GatherProgram;
 use sharp_lll::local::{broadcast, NodeContext, NodeProgram, RoundResult, Simulator};
 use sharp_lll::mt::dist::{distributed_mt, distributed_mt_parallel};
 use sharp_lll::numeric::Num;
+use sharp_lll::obs::{NullRecorder, NullTiming};
 
 /// Worker counts to exercise; `LLL_DIFF_THREADS=2` (or `1,2,3,8`, …)
 /// overrides, so CI can run the battery once per pinned count.
@@ -309,10 +309,14 @@ fn fixer_drivers_match_across_engines() {
     let r2 = distributed_fixer2(&inst2, 17, CriterionCheck::Enforce).expect("fixer2");
     let r3 = distributed_fixer3(&inst3, 17, CriterionCheck::Enforce).expect("fixer3");
     for threads in thread_counts() {
-        let p2 = distributed_fixer2_parallel(&inst2, 17, CriterionCheck::Enforce, threads)
-            .expect("fixer2");
-        let p3 = distributed_fixer3_parallel(&inst3, 17, CriterionCheck::Enforce, threads)
-            .expect("fixer3");
+        let opts = RunOpts {
+            threads,
+            ..RunOpts::default()
+        };
+        let s2 = Schedule::edge(inst2.dependency_graph(), 17, threads).expect("coloring");
+        let p2 = drive(&inst2, &s2, &opts, &mut NullRecorder, &mut NullTiming).expect("fixer2");
+        let s3 = Schedule::distance2(inst3.dependency_graph(), 17, threads).expect("coloring");
+        let p3 = drive(&inst3, &s3, &opts, &mut NullRecorder, &mut NullTiming).expect("fixer3");
         for (tag, seq, par) in [("fixer2", &r2, &p2), ("fixer3", &r3, &p3)] {
             assert_eq!(seq.rounds, par.rounds, "{tag} rounds at {threads} threads");
             assert_eq!(
