@@ -131,6 +131,14 @@ cargo run --release -q -p lll-obs --bin obs-report -- \
   | grep -q '"by_request":{"\\"trace\\""'
 rm -rf "$tmp_serve"
 
+echo "==> service mode: wide-clause smoke (a width-64 clause is answered, not enumerated)"
+# One clause on 64 variables has a 2^64-tuple value cube; conjunctions
+# take the closed-form probability, so the daemon answers at once.
+wide_lits="$(seq 1 64 | awk '{ printf "%s%d ", ($1 % 3 ? "" : "-"), $1 }')"
+wide_out="$(printf '{"id":"w64","dimacs":"p cnf 64 1\\n%s0\\n"}\n' "$wide_lits" \
+  | timeout 20 ./target/release/lll-serve)"
+echo "$wide_out" | grep -q '^{"id":"w64","status":"ok".*"violated":0,'
+
 echo "==> service mode: distinct-shape smoke (concurrent misses, byte-identity, misses == shapes)"
 tmp_shapes="$(mktemp -d)"
 # 30 distinct rank-2/rank-3 ring and torus shapes, each requested twice.

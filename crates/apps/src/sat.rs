@@ -125,9 +125,7 @@ impl CnfFormula {
                 .iter()
                 .map(|&l| (l.unsigned_abs() as usize - 1, usize::from(l < 0)))
                 .collect();
-            b.set_event_predicate(ci, move |vals| {
-                lits.iter().all(|&(x, falsifying)| vals[x] == falsifying)
-            });
+            b.set_event_conjunction(ci, &lits);
         }
         b.to_instance_result()
     }

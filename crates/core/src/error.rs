@@ -24,6 +24,16 @@ pub enum BuildError {
     NonPositiveProbability(usize),
     /// A variable's probabilities do not sum to 1.
     BadProbabilitySum(usize),
+    /// A conjunction literal names a variable that does not affect its
+    /// event (see [`InstanceBuilder::set_event_conjunction`]).
+    ///
+    /// [`InstanceBuilder::set_event_conjunction`]: crate::InstanceBuilder::set_event_conjunction
+    LiteralOutsideSupport {
+        /// The event whose conjunction holds the literal.
+        event: usize,
+        /// The variable outside the event's support.
+        variable: usize,
+    },
     /// A complete assignment handed to the instance was malformed.
     InvalidAssignment(String),
 }
@@ -42,6 +52,10 @@ impl fmt::Display for BuildError {
             BuildError::BadProbabilitySum(x) => {
                 write!(f, "probabilities of variable {x} do not sum to 1")
             }
+            BuildError::LiteralOutsideSupport { event, variable } => write!(
+                f,
+                "event {event} tests variable {variable}, which does not affect it"
+            ),
             BuildError::InvalidAssignment(msg) => write!(f, "invalid assignment: {msg}"),
         }
     }

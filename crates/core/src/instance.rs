@@ -1,18 +1,42 @@
 //! LLL instances: discrete random variables, bad events, and the exact
 //! conditional-probability engine.
+//!
+//! An event is either a *conjunction* of literals (declared with
+//! [`InstanceBuilder::set_event_conjunction`]: it occurs iff every
+//! listed variable takes its listed value — every DIMACS clause and
+//! every `lll-serve` JSON event) or an opaque *predicate*
+//! ([`InstanceBuilder::set_event_predicate`]). The engine answers
+//! `Pr[v | partial]` in one of three ways, chosen by the event's
+//! declared shape alone:
+//!
+//! - a conjunction that tests every support variable has a closed form:
+//!   zero on a fixed mismatch, else the product of the free literals'
+//!   probabilities — `O(width)` per query;
+//! - any other event whose value cube has at most `TABLE_LIMIT` (2^15) tuples
+//!   walks its list of occurring tuples, enumerated once on the event's
+//!   first probability query;
+//! - a larger one runs the dense odometer over the free variables.
+//!
+//! All three perform the same sequence of `Num` operations for the same
+//! event, so the choice never changes a result bit. Evaluating an
+//! assignment ([`Event::occurs`], [`Instance::violated_events`]) never
+//! enumerates a value cube.
 
 use std::fmt;
 use std::ops::Index;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use lll_graphs::{Graph, GraphBuilder, Hyperedge, Hypergraph};
 use lll_numeric::Num;
 
 use crate::error::BuildError;
 
-/// Threshold on the truth-table size below which event predicates are
-/// precomputed into a lookup table (pure optimization; semantics are
-/// unchanged).
+/// Largest value cube (product of the support's domain sizes) for which
+/// a predicate event's occurring tuples are enumerated into a sparse
+/// list on its first probability query; larger events run the dense
+/// odometer on every query. A pure optimization: both arms compute the
+/// same results. Conjunctions testing their whole support use the closed
+/// form at every size and never enumerate.
 const TABLE_LIMIT: usize = 1 << 15;
 
 /// A view of the values assigned to the support variables of an event,
@@ -82,23 +106,34 @@ impl<T: fmt::Debug> fmt::Debug for Variable<T> {
     }
 }
 
+/// How an event decides whether it occurs (resolved against the
+/// support by [`InstanceBuilder::build`]).
+#[derive(Clone)]
+enum Test {
+    /// A conjunction testing every support position: the event occurs
+    /// iff position `pos` holds `want[pos]` for every `pos`.
+    /// `satisfiable` is false when two literals contradict or one names
+    /// a value outside its variable's domain: such an event never occurs.
+    Closed { want: Vec<usize>, satisfiable: bool },
+    /// An opaque predicate, or a conjunction that leaves some support
+    /// variable untested (wrapped as a predicate over positions).
+    Predicate(Predicate),
+}
+
 /// A bad event of the instance.
 #[derive(Clone)]
 pub struct Event<T> {
     support: Vec<usize>,
-    predicate: Predicate,
-    /// Mixed-radix truth table over support values (small supports only).
-    table: Option<Vec<bool>>,
-    /// Strides for table indexing, aligned with `support`.
-    strides: Vec<usize>,
-    /// The occurring support tuples, flattened with stride
-    /// `support.len()`, in table-index order — which is exactly the
-    /// probability engine's odometer order (position 0 fastest). Present
-    /// whenever `table` is: LLL workloads are sparse (few bad tuples per
-    /// event), so iterating this list replaces the full mixed-radix scan
-    /// in the conditional-probability engine. Values fit `u16` because
-    /// every `num_values` is bounded by the table size limit.
-    occ: Option<Vec<u16>>,
+    test: Test,
+    /// The occurring support tuples of a [`Test::Predicate`] event,
+    /// flattened with stride `support.len()`, in the probability engine's
+    /// odometer order (position 0 fastest); `None` when the value cube
+    /// exceeds [`TABLE_LIMIT`]. Filled on the event's first probability
+    /// query, never by [`Event::occurs`]. LLL workloads are sparse (few
+    /// bad tuples per event), so iterating this list replaces the full
+    /// mixed-radix scan. Values fit `u16` because every domain in a cube
+    /// within the limit is.
+    occ: OnceLock<Option<Vec<u16>>>,
     _marker: std::marker::PhantomData<T>,
 }
 
@@ -113,14 +148,12 @@ impl<T: Num> Event<T> {
     /// `values[i]` is the value of `support()[i]`.
     pub fn occurs(&self, values: &[usize]) -> bool {
         debug_assert_eq!(values.len(), self.support.len());
-        if let Some(table) = &self.table {
-            let idx: usize = values.iter().zip(&self.strides).map(|(&v, &s)| v * s).sum();
-            table[idx]
-        } else {
-            (self.predicate)(&VarValues {
+        match &self.test {
+            Test::Closed { want, satisfiable } => *satisfiable && want.as_slice() == values,
+            Test::Predicate(predicate) => predicate(&VarValues {
                 support: &self.support,
                 values,
-            })
+            }),
         }
     }
 }
@@ -129,9 +162,19 @@ impl<T> fmt::Debug for Event<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Event")
             .field("support", &self.support)
-            .field("tabled", &self.table.is_some())
+            .field("closed_form", &matches!(self.test, Test::Closed { .. }))
             .finish()
     }
+}
+
+/// Which arm of the probability engine answers for an event (see the
+/// module docs).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ProbPath {
+    ClosedForm,
+    Sparse,
+    Dense,
 }
 
 /// A partial assignment of values to variables.
@@ -250,9 +293,11 @@ impl<T: Num> Instance<T> {
     /// Conditional probability of event `v` given the fixed variables of
     /// `partial` (unfixed variables keep their distribution).
     ///
-    /// Exact for exact backends: enumerates the product distribution of
-    /// the unfixed support variables — the cost is exponential in the
-    /// number of *unfixed* support variables (`Π k_x`), which is what
+    /// Exact for exact backends. A conjunction testing every support
+    /// variable (see [`InstanceBuilder::set_event_conjunction`]) is
+    /// answered in closed form, at a cost linear in its width. Any other
+    /// event enumerates the product distribution of its unfixed support
+    /// variables, at a cost exponential in their number (`Π k_x`), which
     /// bounded dependency degree keeps small in every LLL workload.
     ///
     /// # Examples
@@ -350,7 +395,15 @@ impl<T: Num> Instance<T> {
                 T::zero()
             };
         }
-        if let Some(occ) = &event.occ {
+        if let Test::Closed { want, satisfiable } = &event.test {
+            // A conjunction over its whole support occurs on exactly one
+            // tuple, `want` (on none if unsatisfiable). The sparse arm run
+            // on that one-element list is its closed form: O(width), and
+            // the same `Num` operations as enumerating, by construction.
+            let occ: &[usize] = if *satisfiable { want } else { &[] };
+            return self.prob_sparse(v, occ, values, free);
+        }
+        if let Some(occ) = self.occ(v) {
             return self.prob_sparse(v, occ, values, free);
         }
         // Odometer over the free positions. For exact backends the tuple
@@ -405,15 +458,68 @@ impl<T: Num> Instance<T> {
         }
     }
 
-    /// The sparse arm of [`prob_loop`](Instance::prob_loop): iterates the
-    /// event's precomputed occurring tuples instead of the full odometer.
+    /// The occurring-tuple list of predicate event `v`, enumerated on
+    /// first use; `None` when its value cube exceeds [`TABLE_LIMIT`].
+    fn occ(&self, v: usize) -> Option<&[u16]> {
+        let event = &self.events[v];
+        event
+            .occ
+            .get_or_init(|| {
+                let radix = self.radix(v);
+                let size = cube_size(&radix)?;
+                let mut occ = Vec::new();
+                let mut values = vec![0usize; radix.len()];
+                for idx in 0..size {
+                    let mut rest = idx;
+                    for (val, &k) in values.iter_mut().zip(&radix) {
+                        *val = rest % k;
+                        rest /= k;
+                    }
+                    if event.occurs(&values) {
+                        occ.extend(values.iter().map(|&v| v as u16));
+                    }
+                }
+                Some(occ)
+            })
+            .as_deref()
+    }
+
+    /// Which arm of the probability engine answers for event `v`, decided
+    /// without enumerating anything.
+    #[cfg(test)]
+    pub(crate) fn prob_path(&self, v: usize) -> ProbPath {
+        match (&self.events[v].test, cube_size(&self.radix(v))) {
+            (Test::Closed { .. }, _) => ProbPath::ClosedForm,
+            (Test::Predicate(_), Some(_)) => ProbPath::Sparse,
+            (Test::Predicate(_), None) => ProbPath::Dense,
+        }
+    }
+
+    /// The domain sizes of event `v`'s support variables, by position.
+    fn radix(&self, v: usize) -> Vec<usize> {
+        self.events[v]
+            .support
+            .iter()
+            .map(|&x| self.variables[x].num_values())
+            .collect()
+    }
+
+    /// The sparse arm of [`prob_loop`](Instance::prob_loop): iterates a
+    /// list of the event's occurring tuples (its `occ` list, or a closed
+    /// conjunction's single tuple) instead of the full odometer.
     /// The list is stored in odometer order, consistency filtering
     /// preserves that order, and the weight/accumulation arithmetic below
     /// is literally the odometer arm's — so the two paths produce the
     /// same sequence of `Num` operations and are bit-identical on every
     /// backend; only the cost of *rejecting* non-occurring tuples
     /// disappears.
-    fn prob_sparse(&self, v: usize, occ: &[u16], values: &[usize], free: &[usize]) -> T {
+    fn prob_sparse<V: Copy + Into<usize>>(
+        &self,
+        v: usize,
+        occ: &[V],
+        values: &[usize],
+        free: &[usize],
+    ) -> T {
         let event = &self.events[v];
         let support = &event.support;
         let s = support.len();
@@ -426,13 +532,13 @@ impl<T: Num> Instance<T> {
             for (pos, &t_val) in tuple.iter().enumerate() {
                 if fi < free.len() && free[fi] == pos {
                     fi += 1;
-                } else if t_val as usize != values[pos] {
+                } else if t_val.into() != values[pos] {
                     continue 'tuples;
                 }
             }
             let probs = |ci: usize| {
                 let pos = free[ci];
-                &self.variables[support[pos]].probs[tuple[pos] as usize]
+                &self.variables[support[pos]].probs[tuple[pos].into()]
             };
             if T::is_exact() {
                 weights.push(T::product_of((0..free.len()).map(probs)));
@@ -600,7 +706,15 @@ impl fmt::Display for InstanceSummary {
 pub struct InstanceBuilder<T> {
     num_events: usize,
     variables: Vec<(Vec<usize>, Vec<T>)>,
-    predicates: Vec<Option<Predicate>>,
+    tests: Vec<Option<Declared>>,
+}
+
+/// An event's test as declared, before [`InstanceBuilder::build`]
+/// resolves it against the support.
+#[derive(Clone)]
+enum Declared {
+    Conjunction(Vec<(usize, usize)>),
+    Predicate(Predicate),
 }
 
 impl<T: Num> InstanceBuilder<T> {
@@ -609,7 +723,7 @@ impl<T: Num> InstanceBuilder<T> {
         InstanceBuilder {
             num_events,
             variables: Vec::new(),
-            predicates: vec![None; num_events],
+            tests: vec![None; num_events],
         }
     }
 
@@ -635,12 +749,51 @@ impl<T: Num> InstanceBuilder<T> {
     /// Sets the predicate of event `v` (replacing any previous one).
     ///
     /// The predicate receives the values of the event's support variables
-    /// and returns `true` iff the bad event occurs.
+    /// and returns `true` iff the bad event occurs. A conjunction of
+    /// literals is better declared with
+    /// [`InstanceBuilder::set_event_conjunction`], whose probabilities
+    /// cost `O(width)` instead of the full value cube.
     pub fn set_event_predicate<F>(&mut self, v: usize, pred: F) -> &mut Self
     where
         F: Fn(&VarValues<'_>) -> bool + Send + Sync + 'static,
     {
-        self.predicates[v] = Some(Arc::new(pred));
+        self.tests[v] = Some(Declared::Predicate(Arc::new(pred)));
+        self
+    }
+
+    /// Declares event `v` a conjunction of literals (replacing any
+    /// previous test): it occurs iff every variable `x` of a listed
+    /// `(x, value)` takes `value`.
+    ///
+    /// This is the predicate `|vals| literals.iter().all(|&(x, y)|
+    /// vals[x] == y)` with identical results, but declared as data: when
+    /// the literals test every variable of the event's support (the
+    /// usual case — k-SAT clauses), the probability engine answers in
+    /// closed form at `O(width)` cost instead of enumerating the
+    /// `Π k_x` value cube. Repeated literals are allowed; contradicting
+    /// ones, or a value outside its variable's domain, make an event
+    /// that never occurs. [`InstanceBuilder::build`] rejects a literal on
+    /// a variable that does not affect `v`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lll_core::{InstanceBuilder, PartialAssignment};
+    /// use lll_numeric::BigRational;
+    ///
+    /// // The clause (x ∨ ¬y) is violated iff x = 0 and y = 1.
+    /// let mut b = InstanceBuilder::<BigRational>::new(1);
+    /// let x = b.add_uniform_variable(&[0], 2);
+    /// let y = b.add_uniform_variable(&[0], 2);
+    /// b.set_event_conjunction(0, &[(x, 0), (y, 1)]);
+    /// let inst = b.build()?;
+    /// let empty = PartialAssignment::new(2);
+    /// assert_eq!(inst.probability(0, &empty), BigRational::from_ratio(1, 4));
+    /// assert_eq!(inst.violated_events(&[0, 1])?, vec![0]);
+    /// # Ok::<(), lll_core::BuildError>(())
+    /// ```
+    pub fn set_event_conjunction(&mut self, v: usize, literals: &[(usize, usize)]) -> &mut Self {
+        self.tests[v] = Some(Declared::Conjunction(literals.to_vec()));
         self
     }
 
@@ -703,51 +856,17 @@ impl<T: Num> InstanceBuilder<T> {
 
         let mut events = Vec::with_capacity(self.num_events);
         for (v, support) in supports.into_iter().enumerate() {
-            let predicate: Predicate = self.predicates[v]
-                .clone()
-                .unwrap_or_else(|| Arc::new(|_| false));
-            // Truth-table precomputation for small supports.
-            let mut strides = vec![0usize; support.len()];
-            let mut size: usize = 1;
-            let mut fits = true;
-            for (pos, &x) in support.iter().enumerate() {
-                strides[pos] = size;
-                size = match size.checked_mul(variables[x].num_values()) {
-                    Some(s) if s <= TABLE_LIMIT => s,
-                    _ => {
-                        fits = false;
-                        break;
-                    }
-                };
-            }
-            let (table, occ) = if fits {
-                let mut table = vec![false; size];
-                let mut occ = Vec::new();
-                let mut values = vec![0usize; support.len()];
-                for (idx, slot) in table.iter_mut().enumerate() {
-                    let mut rest = idx;
-                    for (pos, &x) in support.iter().enumerate() {
-                        values[pos] = rest % variables[x].num_values();
-                        rest /= variables[x].num_values();
-                    }
-                    *slot = predicate(&VarValues {
-                        support: &support,
-                        values: &values,
-                    });
-                    if *slot {
-                        occ.extend(values.iter().map(|&v| v as u16));
-                    }
+            let test = match &self.tests[v] {
+                None => Test::Predicate(Arc::new(|_| false)),
+                Some(Declared::Predicate(predicate)) => Test::Predicate(predicate.clone()),
+                Some(Declared::Conjunction(literals)) => {
+                    resolve_conjunction(v, literals, &support, &variables)?
                 }
-                (Some(table), Some(occ))
-            } else {
-                (None, None)
             };
             events.push(Event {
                 support,
-                predicate,
-                table,
-                strides,
-                occ,
+                test,
+                occ: OnceLock::new(),
                 _marker: std::marker::PhantomData,
             });
         }
@@ -777,6 +896,51 @@ impl<T: Num> InstanceBuilder<T> {
             hypergraph,
         })
     }
+}
+
+/// Resolves event `v`'s conjunction against its support: a closed-form
+/// [`Test::Closed`] when the literals test every support position, else a
+/// predicate comparing the tested positions directly.
+fn resolve_conjunction<T: Num>(
+    v: usize,
+    literals: &[(usize, usize)],
+    support: &[usize],
+    variables: &[Variable<T>],
+) -> Result<Test, BuildError> {
+    let mut want: Vec<Option<usize>> = vec![None; support.len()];
+    let mut satisfiable = true;
+    for &(x, value) in literals {
+        let pos = support
+            .binary_search(&x)
+            .map_err(|_| BuildError::LiteralOutsideSupport {
+                event: v,
+                variable: x,
+            })?;
+        satisfiable &= value < variables[x].num_values();
+        match want[pos] {
+            Some(prev) => satisfiable &= prev == value,
+            None => want[pos] = Some(value),
+        }
+    }
+    if let Some(want) = want.iter().copied().collect::<Option<Vec<usize>>>() {
+        return Ok(Test::Closed { want, satisfiable });
+    }
+    let tested: Vec<(usize, usize)> = want
+        .iter()
+        .enumerate()
+        .filter_map(|(pos, w)| w.map(|y| (pos, y)))
+        .collect();
+    Ok(Test::Predicate(Arc::new(move |vals: &VarValues<'_>| {
+        satisfiable && tested.iter().all(|&(pos, y)| vals.values[pos] == y)
+    })))
+}
+
+/// Size of the value cube with these per-position domain sizes, or
+/// `None` past [`TABLE_LIMIT`].
+fn cube_size(radix: &[usize]) -> Option<usize> {
+    radix.iter().try_fold(1usize, |size, &k| {
+        size.checked_mul(k).filter(|&s| s <= TABLE_LIMIT)
+    })
 }
 
 impl<T: Num> fmt::Debug for InstanceBuilder<T> {
@@ -955,13 +1119,80 @@ mod tests {
 
     #[test]
     fn large_support_skips_table_but_matches() {
-        // 15 binary variables on one event -> table (2^15 > limit) skipped.
-        let mut b = InstanceBuilder::<f64>::new(1);
-        let vars: Vec<usize> = (0..15).map(|_| b.add_uniform_variable(&[0], 2)).collect();
-        let v0 = vars[0];
-        b.set_event_predicate(0, move |vals| vals[v0] == 0);
+        // 16 binary variables on one event: the 2^16 cube exceeds
+        // TABLE_LIMIT, so the dense odometer answers; 15 still fit.
+        for (width, path) in [(15, ProbPath::Sparse), (16, ProbPath::Dense)] {
+            let mut b = InstanceBuilder::<f64>::new(1);
+            let vars: Vec<usize> = (0..width)
+                .map(|_| b.add_uniform_variable(&[0], 2))
+                .collect();
+            let v0 = vars[0];
+            b.set_event_predicate(0, move |vals| vals[v0] == 0);
+            let inst = b.build().unwrap();
+            assert_eq!(inst.prob_path(0), path, "width {width}");
+            assert!((inst.unconditional_probability(0) - 0.5).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn conjunctions_take_the_closed_form_only_over_their_whole_support() {
+        let mut b = InstanceBuilder::<BigRational>::new(2);
+        let x = b.add_uniform_variable(&[0, 1], 2);
+        let y = b.add_uniform_variable(&[0, 1], 3);
+        // Event 0 tests both support variables; event 1 leaves y untested.
+        b.set_event_conjunction(0, &[(y, 2), (x, 0), (x, 0)]);
+        b.set_event_conjunction(1, &[(x, 1)]);
         let inst = b.build().unwrap();
-        assert!((inst.unconditional_probability(0) - 0.5).abs() < 1e-12);
+        assert_eq!(inst.prob_path(0), ProbPath::ClosedForm);
+        assert_eq!(inst.prob_path(1), ProbPath::Sparse);
+        assert_eq!(inst.violated_events(&[0, 2]).unwrap(), vec![0]);
+        assert_eq!(inst.violated_events(&[1, 0]).unwrap(), vec![1]);
+        // Evaluating assignments never enumerates the occurring tuples;
+        // the first probability query does.
+        assert!(inst.event(1).occ.get().is_none());
+        let empty = PartialAssignment::new(2);
+        assert_eq!(inst.probability(0, &empty), BigRational::from_ratio(1, 6));
+        assert_eq!(inst.probability(1, &empty), BigRational::from_ratio(1, 2));
+        assert_eq!(inst.probability_with(0, &empty, y, 1), BigRational::zero());
+        assert_eq!(inst.event(1).occ.get(), Some(&Some(vec![1, 0, 1, 1, 1, 2])));
+        assert!(inst.event(0).occ.get().is_none());
+    }
+
+    #[test]
+    fn contradicting_or_out_of_domain_literals_never_occur() {
+        let mut b = InstanceBuilder::<f64>::new(2);
+        let x = b.add_uniform_variable(&[0, 1], 2);
+        let y = b.add_uniform_variable(&[0, 1], 2);
+        b.set_event_conjunction(0, &[(x, 0), (y, 1), (x, 1)]);
+        b.set_event_conjunction(1, &[(x, 0), (y, 2)]);
+        let inst = b.build().unwrap();
+        let mut partial = PartialAssignment::new(2);
+        for v in 0..2 {
+            assert_eq!(inst.prob_path(v), ProbPath::ClosedForm);
+            assert_eq!(
+                inst.unconditional_probability(v).to_bits(),
+                0.0f64.to_bits()
+            );
+        }
+        partial.fix(x, 0);
+        partial.fix(y, 1);
+        assert_eq!(inst.probability(0, &partial), 0.0);
+        assert!(inst.no_event_occurs(&[0, 1]).unwrap());
+    }
+
+    #[test]
+    fn literals_outside_the_support_are_rejected() {
+        let mut b = InstanceBuilder::<f64>::new(2);
+        b.add_uniform_variable(&[0], 2);
+        let y = b.add_uniform_variable(&[1], 2);
+        b.set_event_conjunction(0, &[(y, 0)]);
+        assert_eq!(
+            b.build().unwrap_err(),
+            BuildError::LiteralOutsideSupport {
+                event: 0,
+                variable: y
+            }
+        );
     }
 
     #[test]

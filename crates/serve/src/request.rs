@@ -287,7 +287,7 @@ impl JsonInstance {
                 .copied()
                 .zip(ev.values.iter().copied())
                 .collect();
-            b.set_event_predicate(e, move |vals| lits.iter().all(|&(x, v)| vals[x] == v));
+            b.set_event_conjunction(e, &lits);
         }
         b.build()
             .map_err(|e| RequestError::invalid(format!("instance build: {e}")))

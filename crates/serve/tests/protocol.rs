@@ -8,8 +8,9 @@
 //! test doubles as a canary for accidental nondeterminism (thread
 //! counts, cache state, or timing leaking into responses).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_lll-serve");
@@ -333,4 +334,84 @@ fn responses_identical_at_every_worker_count() {
     let (cold, code) = run(&["--threads", "2", "--batch", "6", "--no-cache"], &input);
     assert_eq!(code, 0);
     assert_eq!(cold, base, "cache state leaked into responses");
+}
+
+/// Hang guard for [`run_watched`]: far above any healthy run, so it only
+/// turns a runaway request into a failure instead of a stuck suite.
+const WATCHDOG: Duration = Duration::from_secs(60);
+
+/// Like [`run`] with default flags, but under a watchdog: a daemon that
+/// has not closed its stdout within [`WATCHDOG`] is killed and the test
+/// fails instead of hanging.
+fn run_watched(what: &str, input: &str) -> Vec<String> {
+    let mut child = Command::new(BIN)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn lll-serve");
+    let mut stdout = child.stdout.take().expect("stdout piped");
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut out = String::new();
+        let _ = stdout.read_to_string(&mut out);
+        let _ = tx.send(out);
+    });
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(input.as_bytes())
+        .expect("write requests");
+    match rx.recv_timeout(WATCHDOG) {
+        Ok(out) => {
+            assert_eq!(child.wait().expect("daemon exit").code(), Some(0), "{what}");
+            out.lines().map(str::to_owned).collect()
+        }
+        Err(_) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{what}: no response within {WATCHDOG:?}");
+        }
+    }
+}
+
+#[test]
+fn wide_conjunctions_are_answered() {
+    // One event whose value cube has 2^w tuples. Conjunctions take the
+    // closed-form probability, so clause width does not set the cost:
+    // these must be answered, not enumerated.
+    let mut input = String::new();
+    for w in [22, 40, 64] {
+        let clause: Vec<String> = (1..=w)
+            .map(|x| {
+                if x % 3 == 0 {
+                    format!("-{x}")
+                } else {
+                    x.to_string()
+                }
+            })
+            .collect();
+        input.push_str(&format!(
+            "{{\"id\":\"w{w}\",\"dimacs\":\"p cnf {w} 1\\n{} 0\\n\"}}\n",
+            clause.join(" ")
+        ));
+    }
+    let vars: Vec<String> = (0..40).map(|x| x.to_string()).collect();
+    let values: Vec<String> = (0..40).map(|x| (x % 2).to_string()).collect();
+    input.push_str(&format!(
+        "{{\"id\":\"j40\",\"instance\":{{\"variables\":[{}],\"events\":[{{\"vars\":[{}],\"values\":[{}]}}]}}}}\n",
+        vec![r#"{"affects":[0],"k":2}"#; 40].join(","),
+        vars.join(","),
+        values.join(",")
+    ));
+    let lines = run_watched("wide single-event requests", &input);
+    assert_eq!(lines.len(), 4, "{lines:?}");
+    for (line, id) in lines.iter().zip(["w22", "w40", "w64", "j40"]) {
+        assert!(
+            line.starts_with(&format!(r#"{{"id":"{id}","status":"ok""#)),
+            "{line}"
+        );
+        assert!(line.contains(r#""violated":0"#), "{line}");
+    }
 }
